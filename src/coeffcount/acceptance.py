@@ -806,13 +806,6 @@ CRITERIA = [
 ]
 
 
-def run_criterion(key: str):
-    for k, desc, fn in CRITERIA:
-        if k == key:
-            return fn()
-    raise KeyError(key)
-
-
 def run_suite(suite: str = "full"):
     """Run acceptance checks; returns (results, ok) where results are
     (criterion, clause, ok, detail) rows."""

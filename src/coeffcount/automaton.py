@@ -10,8 +10,8 @@ polynomials are materialized, which keeps the matrices small even when
 the full pattern space q^|S| is astronomical.
 
 A pattern is stored as a bytes object over the box points (so q <= 256
-here; fields that large are far beyond what pattern enumeration could
-handle anyway).
+here, the size up to which Field keeps full operation tables; fields that
+large are far beyond what pattern enumeration could handle anyway).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ffield import Field, FieldElem
+from .ffield import _TABLE_LIMIT, Field, FieldElem
 from .mpoly import MultiPoly
 
 DEFAULT_STATE_CAP = 100_000
@@ -59,7 +59,8 @@ class DigitAutomaton:
         states: list of patterns (bytes over box points).
         transitions: per digit a, a list over source states of sparse
             columns [(child_state, multiplicity), ...]; every column's
-            multiplicities sum to q^k.
+            multiplicities sum to q^k.  The list is empty for a digit the
+            closure was not asked to build.
         initial: index of the pattern of the constant polynomial 1.
     """
 
@@ -133,6 +134,8 @@ class DigitAutomaton:
 
     def apply_digit(self, digit: int, vec):
         cols = self.transitions[digit]
+        if not cols:
+            raise AutomatonError(f"transitions for digit {digit} were not built")
         out = [0] * len(self.states)
         for src, x in enumerate(vec):
             if x:
@@ -229,6 +232,7 @@ def build_automaton(
     state_cap: int = DEFAULT_STATE_CAP,
     seeds=(),
     min_bounds=None,
+    digits=None,
 ) -> DigitAutomaton:
     """Breadth-first closure of the section patterns reachable from 1 and seeds.
 
@@ -237,16 +241,23 @@ def build_automaton(
     gamma + q*delta with gamma in {0..q-1}^k; each gamma slice is a child
     pattern.  Box bounds (q-1)*deg_i(f) guarantee the slices never escape
     the box, so the closure is finite.
+
+    With digits given, only those digits get transitions, and only the
+    patterns they reach become states: enough to count f^n for every n
+    whose base-q digits all lie in the set.
     """
     field = f.ring
     if not isinstance(field, Field):
         raise AutomatonError("automaton needs a finite-field polynomial")
-    if field.q > 256:
-        raise AutomatonError("automaton supports q <= 256")
+    if field.q > _TABLE_LIMIT:
+        raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
     if f.is_zero():
         raise AutomatonError("automaton needs a nonzero polynomial")
     q = field.q
     k = f.k
+    built = range(q) if digits is None else sorted(set(digits))
+    if any(not 0 <= a < q for a in built):
+        raise AutomatonError(f"digits must lie in 0..{q - 1}")
     degs = f.var_degrees()
     bounds = [(q - 1) * d for d in degs]
     if min_bounds is not None:
@@ -330,22 +341,23 @@ def build_automaton(
     zero_pattern = bytes(npoints)
 
     transitions = [[] for _ in range(q)]
-    fadd = field.add
-    fmul = field.mul
+    add_table = field._add
+    mul_table = field._mul
 
     i = 0
     while i < len(states):
         G = states[i]
         support = [(box_packed[j], G[j]) for j in range(npoints) if G[j]]
-        for a in range(q):
+        for a in built:
             acc: dict[int, int] = {}
             get = acc.get
             for fe, fc in f_pows_packed[a]:
+                row = mul_table[fc]
                 for base, gval in support:
                     key = base + fe
-                    v = fmul(fc, gval)
+                    v = row[gval]
                     prev = get(key)
-                    acc[key] = v if prev is None else fadd(prev, v)
+                    acc[key] = v if prev is None else add_table[prev][v]
             children: dict[int, bytearray] = {}
             for key, v in acc.items():
                 if v:

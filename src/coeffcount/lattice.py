@@ -26,6 +26,31 @@ class LatticeError(ValueError):
 # -- ballot-bounded sequences ---------------------------------------------------
 
 
+def _bounded_sequences(caps, total: int):
+    """All k in N^len(caps) with k_1 + ... + k_j <= caps[j-1] and sum k =
+    total, in lexicographic order; the last cap must equal total.
+
+    Depth first over prefixes with an explicit stack, children pushed
+    largest value first so the smallest comes off next.  The last entry is
+    whatever the prefix leaves of total, which its cap always admits.
+    """
+    n = len(caps)
+    if not n:
+        return [()] if total == 0 else []
+    out = []
+    stack = [((), 0)]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        prefix, psum = pop()
+        j = len(prefix)
+        if j == n - 1:
+            out.append(prefix + (total - psum,))
+        else:
+            extend([(prefix + (v,), psum + v)
+                    for v in range(min(caps[j], total) - psum, -1, -1)])
+    return out
+
+
 def draconian_sequences(n: int, cap: int = DEFAULT_ENUM_CAP):
     """All k in N^n with k_1 + ... + k_i <= i and sum k = n, lexicographic.
 
@@ -35,41 +60,14 @@ def draconian_sequences(n: int, cap: int = DEFAULT_ENUM_CAP):
         raise LatticeError("n must be nonnegative")
     if n > cap:
         raise LatticeError(f"n = {n} exceeds the enumeration cap {cap}")
-    out = []
-
-    def rec(prefix, psum, remaining):
-        i = len(prefix)
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        # k_i can be 0 .. min(i+1 - psum, remaining); feasibility prune:
-        # the remaining positions can absorb at most n - everything placed
-        for v in range(min(i + 1 - psum, remaining) + 1):
-            rec(prefix + [v], psum + v, remaining - v)
-
-    rec([], 0, n)
-    return out
+    return _bounded_sequences(list(range(1, n + 1)), n)
 
 
 def lpath_sequences(n: int, t: int):
     """The set L_{n,t}: k in N^n with k_1+...+k_j <= t*j - 1 and sum = t*n - 1."""
     if n < 1 or t < 1:
         raise LatticeError("need n, t >= 1")
-    out = []
-    total = t * n - 1
-
-    def rec(prefix, psum, remaining):
-        j = len(prefix)
-        if j == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(t * (j + 1) - 1 - psum, remaining) + 1):
-            rec(prefix + [v], psum + v, remaining - v)
-
-    rec([], 0, total)
-    return out
+    return _bounded_sequences([t * j - 1 for j in range(1, n + 1)], t * n - 1)
 
 
 # -- distinct monomials of nested-sum products ------------------------------------
@@ -275,14 +273,6 @@ def staircase_parts(n: int, s: int, t: int):
     for j in range(1, n):
         parts.extend([s * (n - j)] * t)
     return parts
-
-
-def shifted_path_poly(n: int, s: int, t: int) -> MultiPoly:
-    """(x_1+...+x_{sn})^(t-1) * prod_{j=1}^{n-1} (x_1+...+x_{sj})^t over ZZ."""
-    parts = [s * n] * (t - 1)
-    for j in range(1, n):
-        parts.extend([s * j] * t)
-    return nested_sum_product(parts)
 
 
 def shifted_path_count(n: int, s: int, t: int, mode: str = "closed") -> int:

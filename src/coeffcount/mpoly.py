@@ -8,8 +8,6 @@ construction, so polynomials can be shared freely.
 
 from __future__ import annotations
 
-import itertools
-
 from .ffield import Field
 
 DEFAULT_TERM_BUDGET = 10**7
@@ -125,9 +123,6 @@ class MultiPoly:
         for c in self.terms.values():
             census[c] = census.get(c, 0) + 1
         return census
-
-    def nonzero_count(self) -> int:
-        return len(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -416,7 +411,3 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
         result = result + read_term(sign)
     return result
 
-
-def all_monomials_upto(bounds):
-    """All exponent tuples e with 0 <= e_i <= bounds_i, in lexicographic order."""
-    return list(itertools.product(*(range(b + 1) for b in bounds)))

@@ -5,9 +5,10 @@ g^(q^m - c) equal to a nonzero alpha has the exact form
 u(m) * q^m + v(m) with u, v periodic of period d, where d is the degree
 of the splitting field of g, valid once m >= ceil(log_q(mu * c)) for mu
 the largest multiplicity of an irreducible factor.  This module measures
-d and mu by factorization machinery, counts the coefficients directly by
-dense powering, and solves for the periodic tables u, v over exact
-rationals.
+d and mu by factorization machinery, counts the coefficients through the
+digit automaton of g (a product of integer matrices along the base-q
+digits of the exponent, built only for the digits that occur), and
+solves for the periodic tables u, v over exact rationals.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import unipoly
+from . import automaton, unipoly
 from .ffield import Field, is_primitive
-from .mpoly import BudgetError, MultiPoly, from_dense
-
-# dense coefficient budget for a single expansion
-DEFAULT_DENSE_BUDGET = 80_000_000
+from .mpoly import MultiPoly, from_dense
 
 
 class QPowError(ValueError):
@@ -68,104 +64,57 @@ def max_multiplicity(g, field: Field) -> int:
     return max(m for _, m in unipoly.squarefree_decomposition(field, g))
 
 
-# -- dense counting engines ---------------------------------------------------
+# -- counting through the digit automaton -------------------------------------
 
 
-def _count_gf2(g, n: int):
-    """Census of g^n over F_2 via bitmask polynomials.
-
-    Exponent digits in base 2 turn g^n into a product of spread copies of
-    g; multiplying a bitmask by a sparse spread factor is a handful of
-    shift-xors however large the degree gets.
-    """
-    positions = [i for i, c in enumerate(g) if c]
-    acc = 1  # the polynomial 1
-    i = 0
-    while n:
-        if n & 1:
-            spread = [j << i for j in positions]
-            new = 0
-            for s in spread:
-                new ^= acc << s
-            acc = new
-        n >>= 1
-        i += 1
-    count = bin(acc).count("1")
-    return {1: count}
+def _automaton_for(g, field: Field, exponents):
+    """Digit automaton of g with transitions for the base-q digits of exponents."""
+    digits = set()
+    for n in exponents:
+        while n:
+            n, digit = divmod(n, field.q)
+            digits.add(digit)
+    return automaton.build_automaton(from_dense(g, field), digits=digits)
 
 
-def _count_prime_field(g, p: int, n: int, budget: int):
-    """Census of g^n over F_p (p odd prime) via dense numpy arrays.
-
-    Base-p digits of n: each digit a contributes (g^a)(x^{p^i}), a sparse
-    polynomial; the dense accumulator is convolved with each in turn.
-    All values are small nonnegative integers, reduced mod p after every
-    factor, so the computation is exact.
-    """
-    deg = len(g) - 1
-    if deg * n + 1 > budget:
-        raise BudgetError(f"dense budget exceeded: degree {deg * n}")
-    # small powers g^a for digits a = 0..p-1, computed densely
-    small = [[1]]
-    garr = [int(c) for c in g]
-    for _ in range(p - 1):
-        prev = small[-1]
-        nxt = [0] * (len(prev) + deg)
-        for i, c in enumerate(prev):
-            if c:
-                for j, d in enumerate(garr):
-                    nxt[i + j] = (nxt[i + j] + c * d) % p
-        small.append(nxt)
-    acc = np.array([1], dtype=np.uint32)
-    scale = 1
-    while n:
-        a = n % p
-        n //= p
-        if a:
-            factor = [(e * scale, c) for e, c in enumerate(small[a]) if c]
-            out = np.zeros(len(acc) + factor[-1][0], dtype=np.uint32)
-            for off, c in factor:
-                out[off : off + len(acc)] += acc * c
-            out %= p
-            acc = out
-        scale *= p
-    census = {}
-    counts = np.bincount(acc.astype(np.int64), minlength=p)
-    for val in range(1, p):
-        if counts[val]:
-            census[val] = int(counts[val])
-    return census
-
-
-def count_qpow(g, field: Field, c: int, alpha, m: int, budget: int = DEFAULT_DENSE_BUDGET):
-    """Exact N_alpha(m): coefficients of g^(q^m - c) equal to alpha."""
-    g = _as_dense(g, field)
-    _check_g(g)
+def _exponent(field: Field, c: int, m: int) -> int:
+    """The exponent q^m - c, checked to be a nonnegative integer."""
     if c < 1:
         raise QPowError("c must be a positive integer")
     n = field.q**m - c
     if n < 0:
         raise QPowError(f"q^m = {field.q**m} is smaller than c = {c}")
-    alpha_val = field.elem(alpha).val
-    if alpha_val == 0:
+    return n
+
+
+def _alpha_val(field: Field, alpha) -> int:
+    val = field.elem(alpha).val
+    if val == 0:
         raise QPowError("alpha must be nonzero")
-    census = power_census(g, field, n, budget)
-    return census.get(alpha_val, 0)
+    return val
 
 
-def power_census(g, field: Field, n: int, budget: int = DEFAULT_DENSE_BUDGET):
-    """Census of g^n using the fastest exact engine for the field."""
+def count_qpow(g, field: Field, c: int, alpha, m: int):
+    """Exact N_alpha(m): coefficients of g^(q^m - c) equal to alpha."""
+    g = _as_dense(g, field)
+    _check_g(g)
+    n = _exponent(field, c, m)
+    alpha_val = _alpha_val(field, alpha)
+    return _automaton_for(g, field, [n]).count(n, alpha_val)
+
+
+def power_census(g, field: Field, n: int):
+    """Census of g^n: each nonzero coefficient value and its multiplicity."""
     g = _as_dense(g, field)
     if n == 0:
         return {field.one: 1}
-    if field.q == 2:
-        return _count_gf2(g, n)
-    if field.r == 1:
-        return _count_prime_field(g, field.p, n, budget)
-    # extension fields: sparse fallback (fine for the small cases used here)
-    if (len(g) - 1) * n + 1 > budget:
-        raise BudgetError(f"dense budget exceeded: degree {(len(g) - 1) * n}")
-    return from_dense(g, field).pow(n).coeff_census()
+    counter = _automaton_for(g, field, [n])
+    census = {}
+    for alpha in range(1, field.q):
+        count = counter.count(n, alpha)
+        if count:
+            census[alpha] = count
+    return census
 
 
 @dataclass(frozen=True)
@@ -191,14 +140,13 @@ class QPowProfile:
         return int(val)
 
 
-def fit_qpow_profile(
-    g, field: Field, c: int, alpha, budget: int = DEFAULT_DENSE_BUDGET
-) -> QPowProfile:
+def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
     """Measure d, mu, l and solve for the periodic tables u, v.
 
     For each residue class r mod d the two smallest admissible m fix u(r)
     and v(r) by a 2x2 linear solve over exact rationals; a third value in
-    the class is then verified, so an inconsistent fit cannot escape.
+    the class is then verified, so an inconsistent fit cannot escape.  One
+    automaton counts all 3d exponents.
     """
     g = _as_dense(g, field)
     _check_g(g)
@@ -208,17 +156,18 @@ def fit_qpow_profile(
     l = 0
     while field.q**l < mu * c:
         l += 1
-    alpha_val = field.elem(alpha).val
     q = field.q
+    # the classes' first three admissible m are exactly l .. l + 3d - 1
+    exponents = {m: _exponent(field, c, m) for m in range(l, l + 3 * d)}
+    alpha_val = _alpha_val(field, alpha)
+    counter = _automaton_for(g, field, exponents.values())
     u = [Fraction(0)] * d
     v = [Fraction(0)] * d
     for residue in range(d):
         m1 = l + ((residue - l) % d)  # smallest admissible m in this class
         m2 = m1 + d
         m3 = m2 + d
-        n1 = count_qpow(g, field, c, alpha_val, m1, budget)
-        n2 = count_qpow(g, field, c, alpha_val, m2, budget)
-        n3 = count_qpow(g, field, c, alpha_val, m3, budget)
+        n1, n2, n3 = (counter.count(exponents[m], alpha_val) for m in (m1, m2, m3))
         ur = Fraction(n2 - n1, q**m2 - q**m1)
         vr = Fraction(n1) - ur * q**m1
         if ur * q**m3 + vr != n3:

@@ -104,6 +104,23 @@ def test_prefix_needs_seed():
         A.count(3, 1, prefix=g)
 
 
+def test_digit_subset():
+    f = parse_poly("2+x+x^2", 1, F3)
+    full = build_automaton(f)
+    part = build_automaton(f, digits=[2])
+    assert part.state_count < full.state_count
+    assert not part.column_sum_violations()
+    for n in (0, 2, 8, 3**20 - 1):
+        for alpha in (1, 2):
+            assert part.count(n, alpha) == full.count(n, alpha)
+    with pytest.raises(AutomatonError):
+        part.apply_digit(1, part.start_vector())
+    with pytest.raises(AutomatonError):
+        part.count(5, 1)  # 5 is 12 in base 3
+    with pytest.raises(AutomatonError):
+        build_automaton(f, digits=[3])
+
+
 def test_state_cap():
     f = vandermonde_poly(4, F2)
     with pytest.raises(StateCapError):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -45,6 +46,11 @@ def test_draconian():
     assert len(draconian_sequences(3)) == 5
     for n in range(10):
         assert len(draconian_sequences(n)) == catalan(n)
+    # exactly the bounded tuples, in product (lexicographic) order
+    for n in range(7):
+        assert draconian_sequences(n) == [
+            k for k in itertools.product(range(n + 1), repeat=n)
+            if sum(k) == n and all(sum(k[:i]) <= i for i in range(1, n + 1))]
     with pytest.raises(LatticeError):
         draconian_sequences(20)
 
@@ -125,6 +131,21 @@ def test_lpath_sequences():
     for n in range(1, 7):
         for t in range(1, 5):
             assert len(lpath_sequences(n, t)) * n == comb((t + 1) * n - 2, n - 1)
+    for n in range(1, 5):
+        for t in range(1, 4):
+            total = t * n - 1
+            assert lpath_sequences(n, t) == [
+                k for k in itertools.product(range(total + 1), repeat=n)
+                if sum(k) == total
+                and all(sum(k[:j]) <= t * j - 1 for j in range(1, n + 1))]
+
+
+def test_enumerators_leave_no_reference_cycles():
+    # a cycle would keep the whole enumerated list alive until a full collection
+    for fn, args in ((draconian_sequences, (10,)), (lpath_sequences, (4, 3))):
+        gc.collect()
+        fn(*args)
+        assert gc.collect() == 0, fn.__name__
 
 
 def test_noncrossing_identity():

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import coeffcount
 from coeffcount import unipoly
 from coeffcount.ffield import Field
-from coeffcount.mpoly import dense_coeffs, parse_poly
+from coeffcount.mpoly import dense_coeffs, from_dense, parse_poly
+from coeffcount.oracle import brute_power_census
 from coeffcount.qpow import (
     QPowError,
     count_qpow,
@@ -17,6 +23,7 @@ from coeffcount.qpow import (
 
 F2 = Field(2)
 F3 = Field(3)
+FIELDS = {2: F2, 3: F3, 4: Field(2, 2), 5: Field(5), 7: Field(7)}
 
 
 def g(text, field=F2):
@@ -65,15 +72,67 @@ def test_count_examples():
 
 
 def test_engines_agree():
-    # bitmask (q = 2), numpy (odd p), and sparse fallback must all agree
-    # with straightforward expansion
-    from coeffcount.oracle import brute_power_census
-
-    for field, text in [(F2, "1+x+x^4"), (F3, "2+x+x^2"), (Field(2, 2), "1+2*x+x^2")]:
+    # the digit automaton against the oracle's plain repeated multiplication
+    cases = [(2, "1+x+x^4"), (3, "2+x+x^2"), (4, "1+2*x+x^2"), (4, "3+x+2*x^3"),
+             (5, "2+3*x+x^3"), (7, "3+x+x^3")]
+    for q, text in cases:
+        field = FIELDS[q]
         poly = parse_poly(text, 1, field)
         gg = dense_coeffs(poly)
         for n in (0, 1, 5, 17, 40):
-            assert power_census(gg, field, n) == brute_power_census(poly, n)
+            assert power_census(gg, field, n) == brute_power_census(poly, n), (q, text, n)
+
+
+def test_census_of_huge_exponents():
+    # (1+x)^(2^h - 1) over F_2 has all 2^h coefficients equal to 1
+    assert power_census([1, 1], F2, 2**4000 - 1) == {1: 2**4000}
+    # over F_3 every base-3 digit of 3^h - 1 is 2, so by Lucas' theorem the
+    # coefficient of x^j is 2^(number of digits 1 of j) mod 3: it is 1 for
+    # the (3^h + 1) / 2 exponents j < 3^h with an even number of such digits
+    h = 500
+    assert power_census([1, 1], F3, 3**h - 1) == {1: (3**h + 1) // 2, 2: (3**h - 1) // 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(FIELDS)),
+    coeffs=st.lists(st.integers(min_value=0, max_value=6), min_size=5, max_size=5),
+    c=st.integers(min_value=1, max_value=3),
+    alpha=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_count_qpow_matches_oracle(q, coeffs, c, alpha, data):
+    # random g of degree <= 4 with g(0) != 0, exponents q^m - c <= 200
+    field = FIELDS[q]
+    gg = unipoly.trim([coeffs[0] % (q - 1) + 1] + [x % q for x in coeffs[1:]])
+    assume(len(gg) >= 2)
+    m = data.draw(st.integers(min_value=0, max_value=max(
+        m for m in range(9) if q**m - c <= 200)))
+    assume(q**m >= c)
+    alpha = alpha % (q - 1) + 1
+    expected = brute_power_census(from_dense(gg, field), q**m - c, alpha)
+    assert count_qpow(gg, field, c, alpha, m) == expected
+
+
+def test_profile_predicts_far_counts():
+    # exponents near q^60, far past any term-by-term expansion
+    gg = g("3+x+x^3", Field(7))
+    prof = fit_qpow_profile(gg, Field(7), 1, 1)
+    for m in range(prof.l, 61):
+        assert prof.predict(m) == count_qpow(gg, Field(7), 1, 1, m), m
+    gg = g("1+x+x^2+x^3+x^4+2*x^5", F3)
+    prof = fit_qpow_profile(gg, F3, 2, 1)
+    for m in range(prof.l, 61):
+        assert prof.predict(m) == count_qpow(gg, F3, 2, 1, m), m
+
+
+def test_import_pulls_in_no_numpy():
+    # numpy is no dependency; a fresh interpreter must not load it
+    src = os.path.dirname(os.path.dirname(coeffcount.__file__))
+    code = "import sys, coeffcount; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_profile_three_unseen_checks_per_class():
