@@ -159,9 +159,10 @@ def cmd_closed_form(args) -> int:
 def cmd_lattice(args) -> int:
     kind = args.kind
     if kind == "draconian":
-        seqs = lattice.draconian_sequences(args.n)
-        emit({"count": _json_int(len(seqs)),
-              "sequences": [list(s) for s in seqs] if args.n <= 6 else "omitted"})
+        # the Catalan(n) tuples are built only when they are printed
+        emit({"count": _json_int(lattice.draconian_count(args.n)),
+              "sequences": ([list(s) for s in lattice.draconian_sequences(args.n)]
+                            if args.n <= 6 else "omitted")})
     elif kind == "omega":
         parts = [int(v) for v in args.parts.split(",")]
         emit({"count": _json_int(lattice.distinct_monomial_count(parts))})

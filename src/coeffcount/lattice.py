@@ -6,17 +6,29 @@ count of products of nested variable sums prod (x_1 + ... + x_{part_i}),
 the prefix-sum polytope with bounds t_n + ... + t_{n-i+1}, and the path
 counts under periodically shifting staircase boundaries.  All counts are
 exact integers, cross-checkable against the brute-force oracle.
+
+Every weighted sum over ballot-bounded sequences is evaluated by one
+transfer DP over (position, prefix sum), `_ballot_sum`; the enumerators
+`draconian_sequences` and `lpath_sequences` list the sequences themselves
+and are the independent check of those sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .combinat import catalan, gbinom, multichoose
 from .mpoly import ZZ, MultiPoly
 
 DEFAULT_ENUM_CAP = 15
+# Most (row entry, next row entry) pairs one ballot sum may visit, checked
+# before the first row exists; it also bounds the row length.  K_n needs
+# (n-1) n (n+1) / 3 pairs, so n <= 391 passes (the enumeration cap is 15),
+# and every L_{n,t} of at most 10^7 sequences (the scale of Catalan(15))
+# needs at most 1.34e7.
+BALLOT_WORK_CAP = 2 * 10**7
 
 
 class LatticeError(ValueError):
@@ -51,16 +63,68 @@ def _bounded_sequences(caps, total: int):
     return out
 
 
+def _ballot_sum(caps, total: int, weight) -> int:
+    """Sum over k in N^n, n = len(caps), with k_1 + ... + k_j <= caps[j-1]
+    and sum k = total, of prod_j weight(j, k_j) (j is 1-based).
+
+    A transfer DP over prefix sums (Stanley, EC1, 4.7): row[s] is the
+    weighted count of the prefixes k_1..k_j that sum to s, and position j+1
+    turns it into the next row by a convolution with weight(j+1, 0..),
+    truncated at the cap.  The last entry is forced to total - s, so the
+    last step is one dot product.  Every entry is kept whatever its sign,
+    so negative weights are summed exactly.  Raises LatticeError before the
+    first row is allocated if the DP would visit more than BALLOT_WORK_CAP
+    pairs of entries (at most n (total + 1)^2).
+    """
+    n = len(caps)
+    if total < 0:
+        return 0
+    if n == 0:
+        return 1 if total == 0 else 0
+    if caps[-1] < total:
+        return 0
+    work, width = 0, 1
+    for cap in caps[:-1]:
+        if cap < 0:
+            return 0
+        nxt = min(cap, total) + 1
+        work += width * nxt
+        width = nxt
+        if work > BALLOT_WORK_CAP:
+            raise LatticeError(
+                f"a ballot sum over {n} positions with total {total} exceeds "
+                f"the work cap {BALLOT_WORK_CAP}")
+    row = [1]
+    for j, cap in enumerate(caps[:-1], 1):
+        top = min(cap, total)
+        rev = [weight(j, k) for k in range(top, -1, -1)]
+        width = len(row)
+        row = [sum(map(mul, row, rev[top - s:top - s + width]))
+               for s in range(top + 1)]
+    return sum(ways * weight(n, total - s) for s, ways in enumerate(row))
+
+
 def draconian_sequences(n: int, cap: int = DEFAULT_ENUM_CAP):
     """All k in N^n with k_1 + ... + k_i <= i and sum k = n, lexicographic.
 
     There are Catalan(n) of them.
     """
+    _check_enumerable(n, cap)
+    return _bounded_sequences(list(range(1, n + 1)), n)
+
+
+def draconian_count(n: int) -> int:
+    """len(draconian_sequences(n)), which is Catalan(n), without listing the
+    sequences; refuses the same n."""
+    _check_enumerable(n, DEFAULT_ENUM_CAP)
+    return catalan(n)
+
+
+def _check_enumerable(n: int, cap: int):
     if n < 0:
         raise LatticeError("n must be nonnegative")
     if n > cap:
         raise LatticeError(f"n = {n} exceeds the enumeration cap {cap}")
-    return _bounded_sequences(list(range(1, n + 1)), n)
 
 
 def lpath_sequences(n: int, t: int):
@@ -95,7 +159,8 @@ def distinct_monomial_count(parts) -> int:
 
     parts must be weakly decreasing (a partition shape).  Evaluates the
     closed sum over ballot sequences: for each k in K_n the product of
-    multichoose(parts_i - parts_{i+1}, k_i).
+    multichoose(parts_i - parts_{i+1}, k_i), by the prefix-sum DP
+    `_ballot_sum`; enumerating K_n is the independent check.
     """
     parts = list(parts)
     n = len(parts)
@@ -105,15 +170,8 @@ def distinct_monomial_count(parts) -> int:
         raise LatticeError("parts must be nonnegative")
     ext = parts + [0]
     drops = [ext[i] - ext[i + 1] for i in range(n)]
-    total = 0
-    for k in draconian_sequences(n):
-        prod = 1
-        for drop, ki in zip(drops, k):
-            prod *= multichoose(drop, ki)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _ballot_sum(range(1, n + 1), n,
+                       lambda j, k: multichoose(drops[j - 1], k))
 
 
 def monomial_count_recurrence_check(parts, i: int) -> bool:
@@ -174,73 +232,69 @@ def _prefix_bounds(ts):
 
 
 def ps_points_direct(ts) -> int:
-    """Count integer points y >= 0 with y_1 + ... + y_i <= t_n + ... + t_{n-i+1}."""
+    """Count integer points y >= 0 with y_1 + ... + y_i <= t_n + ... + t_{n-i+1}.
+
+    Depth first over the prefixes y_1..y_i with an explicit stack of
+    (i, prefix sum); the last coordinate's admissible values are counted
+    at once.
+    """
     n = len(ts)
     if n == 0:
         return 1
     bounds = _prefix_bounds(ts)
     if min(bounds) < 0:
         return 0
-
     count = 0
-
-    def rec(i, psum):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
+    stack = [(0, 0)]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        i, psum = pop()
         limit = bounds[i] - psum
         if limit < 0:
-            return
-        for y in range(limit + 1):
-            rec(i + 1, psum + y)
-
-    rec(0, 0)
+            continue
+        if i == n - 1:
+            count += limit + 1
+        else:
+            extend([(i + 1, psum + y) for y in range(limit + 1)])
     return count
 
 
 def ps_interior_direct(ts) -> int:
-    """Count integer points with y_i >= 1 and strict prefix-sum inequalities."""
+    """Count integer points with y_i >= 1 and strict prefix-sum inequalities.
+
+    Explicit-stack depth first search, as in ps_points_direct.
+    """
     n = len(ts)
     if n == 0:
         return 1
     bounds = _prefix_bounds(ts)
-
     count = 0
-
-    def rec(i, psum):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
+    stack = [(0, 0)]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        i, psum = pop()
         limit = bounds[i] - 1 - psum
         if limit < 1:
-            return
-        for y in range(1, limit + 1):
-            rec(i + 1, psum + y)
-
-    rec(0, 0)
+            continue
+        if i == n - 1:
+            count += limit
+        else:
+            extend([(i + 1, psum + y) for y in range(1, limit + 1)])
     return count
 
 
 def ps_points_formula(ts) -> int:
     """The ballot-sum formula: sum over K_n of multichoose(t_n + 1, k_n)
-    times prod_{i<n} multichoose(t_i, k_i)."""
+    times prod_{i<n} multichoose(t_i, k_i), evaluated by the prefix-sum DP
+    `_ballot_sum`; ps_points_direct and enumerating K_n are the checks."""
     ts = list(ts)
     n = len(ts)
     if n == 0:
         return 1
     if any(t < 0 for t in ts):
         raise LatticeError("t entries must be nonnegative")
-    total = 0
-    for k in draconian_sequences(n):
-        prod = multichoose(ts[-1] + 1, k[-1])
-        for i in range(n - 1):
-            if prod == 0:
-                break
-            prod *= multichoose(ts[i], k[i])
-        total += prod
-    return total
+    return _ballot_sum(range(1, n + 1), n,
+                       lambda j, k: multichoose(ts[j - 1] + (j == n), k))
 
 
 def ps_lattice_points(ts, mode: str = "formula") -> int:
@@ -282,8 +336,9 @@ def shifted_path_count(n: int, s: int, t: int, mode: str = "closed") -> int:
             complementary index is tn - 1).
     Lsum:   sum over L_{n,t} of prod C(k_i + s - 1, k_i).
     Ksum:   distinct monomials of the staircase partition product.
-    All three agree for every n >= 1, and equal the direct path count
-    under the boundary (path_count_under_boundary).
+    Both sums are evaluated by the prefix-sum DP `_ballot_sum`.  All three
+    agree for every n >= 1, and equal the direct path count under the
+    boundary (path_count_under_boundary).
     """
     if n < 1 or s < 1 or t < 1:
         raise LatticeError("need n, s, t >= 1")
@@ -292,15 +347,8 @@ def shifted_path_count(n: int, s: int, t: int, mode: str = "closed") -> int:
         assert num % n == 0
         return num // n
     if mode == "Lsum":
-        total = 0
-        for k in lpath_sequences(n, t):
-            prod = 1
-            for ki in k:
-                prod *= comb(ki + s - 1, ki)
-                if prod == 0:
-                    break
-            total += prod
-        return total
+        return _ballot_sum(range(t - 1, t * n, t), t * n - 1,
+                           lambda j, k: comb(k + s - 1, k))
     if mode == "Ksum":
         return distinct_monomial_count(staircase_parts(n, s, t))
     raise LatticeError(f"unknown mode {mode!r}")
@@ -340,20 +388,15 @@ def noncrossing_identity(ms):
     lhs = sum_{k in K_n} C(m_n, k_n) prod_{i<n} C(m_i + 1, k_i)
     rhs = sum_{k in K_n} prod_i C(m_i + k_i - 1, k_i)
     Returns (lhs, rhs, lhs == rhs); the identity holds as a polynomial
-    identity, so equality is expected for arbitrary integer vectors.
+    identity, so equality is expected for arbitrary integer vectors.  Both
+    sides are evaluated by the prefix-sum DP `_ballot_sum`, whose weights
+    here may be negative.
     """
     ms = list(ms)
     n = len(ms)
-    lhs = rhs = 0
-    for k in draconian_sequences(n):
-        term = gbinom(ms[-1], k[-1])
-        for i in range(n - 1):
-            term *= gbinom(ms[i] + 1, k[i])
-        lhs += term
-        term = 1
-        for i in range(n):
-            term *= gbinom(ms[i] + k[i] - 1, k[i])
-        rhs += term
+    caps = range(1, n + 1)
+    lhs = _ballot_sum(caps, n, lambda j, k: gbinom(ms[j - 1] + (j < n), k))
+    rhs = _ballot_sum(caps, n, lambda j, k: gbinom(ms[j - 1] + k - 1, k))
     return lhs, rhs, lhs == rhs
 
 
@@ -463,18 +506,19 @@ def weighted_polytope_sum(n: int, k: int) -> int:
     ts = [k + n - i for i in range(1, n)]
     ts[0] -= 1
     bounds = _prefix_bounds(ts)
+    last = len(ts) - 1
     total = 0
-
-    def rec(i, psum, last):
-        nonlocal total
-        if i == len(ts):
-            total += 1 + last
-            return
+    stack = [(0, 0)]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        i, psum = pop()
         limit = bounds[i] - psum
-        for y in range(limit + 1):
-            rec(i + 1, psum + y, y)
-
-    rec(0, 0, 0)
+        if i == last:
+            # sum of 1 + y over y = 0 .. limit
+            if limit >= 0:
+                total += (limit + 1) * (limit + 2) // 2
+        else:
+            extend([(i + 1, psum + y) for y in range(limit + 1)])
     return total
 
 

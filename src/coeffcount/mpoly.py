@@ -288,14 +288,6 @@ def from_dense(coeffs, ring) -> MultiPoly:
     return MultiPoly(1, ring, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def poly_mul(a: MultiPoly, b: MultiPoly, budget: int | None = None) -> MultiPoly:
-    return a.mul(b, budget)
-
-
-def poly_pow(f: MultiPoly, n: int, budget: int | None = None) -> MultiPoly:
-    return f.pow(n, budget)
-
-
 def coeff_census(f: MultiPoly):
     census = f.coeff_census()
     return census, sum(census.values())

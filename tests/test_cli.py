@@ -107,6 +107,12 @@ def test_closed_form_commands(capsys):
 def test_lattice_commands(capsys):
     code, out, _ = run_cli(capsys, "lattice", "draconian", "--n", "3")
     assert code == 0 and json.loads(out)["count"] == "5"
+    # the count alone, without building the 9.7e6 sequences
+    code, out, _ = run_cli(capsys, "lattice", "draconian", "--n", "15")
+    assert code == 0 and json.loads(out) == {"count": "9694845",
+                                             "sequences": "omitted"}
+    code, _, err = run_cli(capsys, "lattice", "draconian", "--n", "16")
+    assert code == 1 and "enumeration cap" in err
     code, out, _ = run_cli(capsys, "lattice", "omega", "--parts", "3,2,1")
     assert json.loads(out)["count"] == "5"
     code, out, _ = run_cli(capsys, "lattice", "ps", "--t-vec", "1,1,1")

@@ -1,7 +1,11 @@
+import functools
 import gc
 import itertools
+import tracemalloc
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coeffcount.combinat import catalan, gbinom, multichoose
 from coeffcount.lattice import (
@@ -26,7 +30,9 @@ from coeffcount.lattice import (
     ratio_matrix,
     shifted_path_count,
     staircase_grid_report,
+    staircase_parts,
     staircase_power_poly,
+    weighted_polytope_sum,
 )
 
 
@@ -142,10 +148,102 @@ def test_lpath_sequences():
 
 def test_enumerators_leave_no_reference_cycles():
     # a cycle would keep the whole enumerated list alive until a full collection
-    for fn, args in ((draconian_sequences, (10,)), (lpath_sequences, (4, 3))):
+    for fn, args in ((draconian_sequences, (10,)), (lpath_sequences, (4, 3)),
+                     (ps_points_direct, ([2, 1, 3, 1],)),
+                     (ps_interior_direct, ([3, 2, 4, 1],)),
+                     (weighted_polytope_sum, (4, 2))):
         gc.collect()
         fn(*args)
         assert gc.collect() == 0, fn.__name__
+
+
+# -- the ballot-sum DP against sums over the enumerated sequences -----------------
+
+_draconian = functools.lru_cache(maxsize=None)(draconian_sequences)
+
+
+def _brute(seqs, weight):
+    """sum over the listed sequences of prod_j weight(j, k_j), j 1-based."""
+    total = 0
+    for k in seqs:
+        term = 1
+        for j, kj in enumerate(k, 1):
+            term *= weight(j, kj)
+        total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=10))
+def test_monomial_count_dp_matches_enumeration(parts):
+    parts = sorted(parts, reverse=True)
+    n = len(parts)
+    drops = [a - b for a, b in zip(parts, parts[1:] + [0])]
+    assert distinct_monomial_count(parts) == _brute(
+        _draconian(n), lambda j, k: multichoose(drops[j - 1], k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=10))
+def test_polytope_formula_dp_matches_enumeration(ts):
+    n = len(ts)
+    assert ps_points_formula(ts) == _brute(
+        _draconian(n), lambda j, k: multichoose(ts[j - 1] + (j == n), k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-5, max_value=6), min_size=1, max_size=10))
+def test_matching_identity_dp_matches_enumeration(ms):
+    n = len(ms)
+    lhs = _brute(_draconian(n), lambda j, k: gbinom(ms[j - 1] + (j < n), k))
+    rhs = _brute(_draconian(n), lambda j, k: gbinom(ms[j - 1] + k - 1, k))
+    assert noncrossing_identity(ms) == (lhs, rhs, lhs == rhs)
+    assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4))
+def test_lsum_dp_matches_enumeration(n, s, t):
+    assert shifted_path_count(n, s, t, "Lsum") == _brute(
+        lpath_sequences(n, t), lambda j, k: comb(k + s - 1, k))
+
+
+def test_weighted_polytope_sum_matches_enumeration():
+    for n in range(2, 6):
+        for k in range(4):
+            ts = [k + n - i for i in range(1, n)]
+            ts[0] -= 1
+            bounds = list(itertools.accumulate(reversed(ts)))
+            points = [y for y in itertools.product(range(bounds[-1] + 1), repeat=n - 1)
+                      if all(p <= b for p, b in zip(itertools.accumulate(y), bounds))]
+            assert weighted_polytope_sum(n, k) == sum(1 + y[-1] for y in points)
+
+
+def test_ballot_sums_beyond_enumeration():
+    # 14 parts: Catalan(14) ~ 2.7e6 sequences; at n = 30 the parts number 29 to 119
+    assert len(staircase_parts(5, 3, 3)) == 14
+    for n, s, t in ((5, 3, 3), (30, 1, 2), (30, 3, 4), (30, 4, 1)):
+        closed = shifted_path_count(n, s, t, "closed")
+        assert shifted_path_count(n, s, t, "Ksum") == closed, (n, s, t)
+        assert shifted_path_count(n, s, t, "Lsum") == closed, (n, s, t)
+        assert path_count_under_boundary(n, s, t) == closed, (n, s, t)
+    assert distinct_monomial_count(list(range(100, 0, -1))) == catalan(100)
+
+
+def test_oversized_ballot_sum_refused_before_allocation():
+    # refused by arithmetic on the caps alone: no row, weight or caps list is
+    # built, so the refusal allocates almost nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeError, match="work cap"):
+            shifted_path_count(10**6, 2, 10**6, "Lsum")
+        with pytest.raises(LatticeError, match="work cap"):
+            ps_points_formula([0] * 392)  # (n-1) n (n+1) / 3 pairs > 2e7
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_noncrossing_identity():
