@@ -9,6 +9,10 @@ classes of exponents.  Only patterns actually reachable from the seed
 polynomials are materialized, which keeps the matrices small even when
 the full pattern space q^|S| is astronomical.
 
+Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
+counts and censuses its last vector; repunit counts, the Krylov order and
+q-power sequences (see qpow) the iterates of a repeated digit.
+
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
 large are far beyond what pattern enumeration could handle anyway).
@@ -31,6 +35,17 @@ class AutomatonError(RuntimeError):
 
 class StateCapError(AutomatonError):
     pass
+
+
+def base_digits(n: int, q: int):
+    """The base-q digits of n >= 0, least significant first (none for 0)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    digits = []
+    while n:
+        n, digit = divmod(n, q)
+        digits.append(digit)
+    return digits
 
 
 class SectionBox:
@@ -64,14 +79,13 @@ class DigitAutomaton:
         initial: index of the pattern of the constant polynomial 1.
     """
 
-    def __init__(self, field, f, box, states, transitions, initial, seed_indices):
+    def __init__(self, field, f, box, states, transitions, initial):
         self.field = field
         self.f = f
         self.box = box
         self.states = states
         self.transitions = transitions
         self.initial = initial
-        self.seed_indices = seed_indices
         self._state_index = {pat: i for i, pat in enumerate(states)}
 
     @property
@@ -101,11 +115,7 @@ class DigitAutomaton:
 
     def start_vector(self, prefix: MultiPoly | None = None):
         vec = [0] * len(self.states)
-        if prefix is None:
-            vec[self.initial] = 1
-            return vec
-        idx = self.state_index_of(prefix)
-        vec[idx] = 1
+        vec[self.initial if prefix is None else self.state_index_of(prefix)] = 1
         return vec
 
     def state_index_of(self, poly: MultiPoly) -> int:
@@ -143,17 +153,39 @@ class DigitAutomaton:
                     out[child] += mult * x
         return out
 
+    def walk(self, digits, vec=None):
+        """Yield the state vector before the first digit and after each digit.
+
+        Digits come least significant first; the walk starts from vec, or
+        from the start vector when vec is None.
+        """
+        if vec is None:
+            vec = self.start_vector()
+        yield vec
+        for digit in digits:
+            vec = self.apply_digit(digit, vec)
+            yield vec
+
+    def _end_vector(self, n: int, prefix: MultiPoly | None):
+        digits = base_digits(n, self.field.q)
+        for vec in self.walk(digits, self.start_vector(prefix)):
+            pass
+        return vec
+
     def count(self, n: int, alpha, prefix: MultiPoly | None = None) -> int:
         """Exact number of coefficients of prefix * f^n equal to alpha."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        q = self.field.q
-        vec = self.start_vector(prefix)
-        while n:
-            vec = self.apply_digit(n % q, vec)
-            n //= q
-        out = self.output_vector(alpha)
-        return sum(u * x for u, x in zip(out, vec))
+        vec = self._end_vector(n, prefix)
+        return sum(u * x for u, x in zip(self.output_vector(alpha), vec))
+
+    def census(self, n: int, prefix: MultiPoly | None = None):
+        """Each nonzero coefficient value of prefix * f^n and its multiplicity."""
+        vec = self._end_vector(n, prefix)
+        census = {}
+        for alpha in range(1, self.field.q):
+            count = sum(u * x for u, x in zip(self.output_vector(alpha), vec))
+            if count:
+                census[alpha] = count
+        return census
 
     def repunit_counts(self, alpha, terms: int, base_digit: int = 1):
         """Counts for exponents 1 + q + ... + q^(m-1), m = 0 .. terms-1.
@@ -164,12 +196,9 @@ class DigitAutomaton:
         if not 1 <= base_digit < self.field.q:
             raise ValueError("base digit must be in 1..q-1")
         out_vec = self.output_vector(alpha)
-        vec = self.start_vector()
-        seq = []
-        for _ in range(terms):
-            seq.append(sum(u * x for u, x in zip(out_vec, vec)))
-            vec = self.apply_digit(base_digit, vec)
-        return seq
+        iterates = itertools.islice(self.walk(itertools.repeat(base_digit)),
+                                    max(terms, 0))
+        return [sum(u * x for u, x in zip(out_vec, vec)) for vec in iterates]
 
     def krylov_order(self, base_digit: int = 1) -> int:
         """Length D of the first linear dependence among the iterate vectors.
@@ -179,10 +208,8 @@ class DigitAutomaton:
         off these iterates then satisfies a linear recurrence of order D
         valid from the first term on.
         """
-        vec = self.start_vector()
         pivots = {}  # pivot position -> reduced row (Fractions)
-        m = 0
-        while True:
+        for m, vec in enumerate(self.walk(itertools.repeat(base_digit))):
             row = [Fraction(x) for x in vec]
             for pos in sorted(pivots):
                 if row[pos]:
@@ -193,10 +220,8 @@ class DigitAutomaton:
             if lead is None:
                 return m
             pivots[lead] = [x / row[lead] for x in row]
-            m += 1
-            if m > len(self.states) + 1:
+            if m > len(self.states):
                 raise AutomatonError("dependence search exceeded state count")
-            vec = self.apply_digit(base_digit, vec)
 
     # -- checks and export ----------------------------------------------------
 
@@ -337,7 +362,8 @@ def build_automaton(
         return bytes(arr)
 
     initial = intern(pattern_of(MultiPoly.one(k, field)))
-    seed_indices = [intern(pattern_of(g)) for g in seeds]
+    for g in seeds:
+        intern(pattern_of(g))
     zero_pattern = bytes(npoints)
 
     transitions = [[] for _ in range(q)]
@@ -378,7 +404,7 @@ def build_automaton(
             transitions[a].append(sorted(column.items()))
         i += 1
 
-    return DigitAutomaton(field, f, box, states, transitions, initial, seed_indices)
+    return DigitAutomaton(field, f, box, states, transitions, initial)
 
 
 def count_via_automaton(

@@ -121,14 +121,12 @@ def cmd_qpow(args) -> int:
         "v": [_json_frac(x) for x in prof.v],
     }
     if args.verify_upto is not None:
-        checks = {}
-        for m in range(prof.l, args.verify_upto + 1):
-            actual = qpow.count_qpow(g, field, args.c, args.alpha, m)
-            checks[str(m)] = {
-                "count": _json_int(actual),
-                "matches": prof.predict(m) == actual,
-            }
-        out["verified"] = checks
+        counts = qpow.qpow_counts(g, field, args.c, args.alpha, prof.l,
+                                  args.verify_upto)
+        out["verified"] = {
+            str(m): {"count": _json_int(actual), "matches": prof.predict(m) == actual}
+            for m, actual in enumerate(counts, prof.l)
+        }
     emit(out)
     return 0
 

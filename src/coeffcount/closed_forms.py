@@ -9,19 +9,12 @@ coefficients of (1 + x + x^2)^n.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import zip_longest
+from math import comb, prod
 
+from .automaton import base_digits
 from .combinat import fibonacci
 from .ffield import is_prime
-
-
-def digits(n: int, p: int):
-    """Base-p digits of n, least significant first (empty for n = 0)."""
-    out = []
-    while n:
-        out.append(n % p)
-        n //= p
-    return out
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:
@@ -31,13 +24,10 @@ def lucas_binomial(n: int, k: int, p: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     result = 1
-    while n or k:
-        a, b = n % p, k % p
+    for a, b in zip_longest(base_digits(n, p), base_digits(k, p), fillvalue=0):
         if b > a:
             return 0
         result = (result * comb(a, b)) % p
-        n //= p
-        k //= p
     return result
 
 
@@ -52,7 +42,7 @@ def binomial_row_census(n: int, p: int):
         raise ValueError(f"{p} is not prime")
     dist = {1: 1}
     total = 1
-    for a in digits(n, p) or [0]:
+    for a in base_digits(n, p) or [0]:
         total *= 1 + a
         step = {}
         for b in range(a + 1):
@@ -89,10 +79,7 @@ def all_ones_power_count(n: int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    result = 1
-    for b in digits((p - 1) * n, p):
-        result *= 1 + b
-    return result
+    return prod(1 + b for b in base_digits((p - 1) * n, p))
 
 
 def trinomial_mod3_split(n: int):
@@ -107,10 +94,8 @@ def trinomial_mod3_split(n: int):
         raise ValueError("n must be nonnegative")
     if n == 0:
         return (0, 1, 0)
-    ds = digits(2 * n, 3)
-    total = 1
-    for b in ds:
-        total *= 1 + b
+    ds = base_digits(2 * n, 3)
+    total = prod(1 + b for b in ds)
     if 1 in ds:
         n1 = n2 = total // 2
     else:

@@ -8,18 +8,21 @@ the largest multiplicity of an irreducible factor.  This module measures
 d and mu by factorization machinery, counts the coefficients through the
 digit automaton of g (a product of integer matrices along the base-q
 digits of the exponent, built only for the digits that occur), and
-solves for the periodic tables u, v over exact rationals.
+solves for the periodic tables u, v over exact rationals.  The exponents
+q^m - c for consecutive m share their low digits and differ only by more
+digits q-1, so one walk of the automaton yields a whole run N(m_lo..m_hi).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import automaton, unipoly
 from .ffield import Field, is_primitive
-from .mpoly import MultiPoly, from_dense
+from .mpoly import MultiPoly, dense_coeffs, from_dense
 
 
 class QPowError(ValueError):
@@ -31,8 +34,6 @@ def _as_dense(g, field: Field):
     if isinstance(g, MultiPoly):
         if g.ring != field:
             raise QPowError("polynomial ring does not match the field")
-        from .mpoly import dense_coeffs
-
         return dense_coeffs(g)
     return unipoly.trim([field.elem(c).val for c in g])
 
@@ -67,16 +68,6 @@ def max_multiplicity(g, field: Field) -> int:
 # -- counting through the digit automaton -------------------------------------
 
 
-def _automaton_for(g, field: Field, exponents):
-    """Digit automaton of g with transitions for the base-q digits of exponents."""
-    digits = set()
-    for n in exponents:
-        while n:
-            n, digit = divmod(n, field.q)
-            digits.add(digit)
-    return automaton.build_automaton(from_dense(g, field), digits=digits)
-
-
 def _exponent(field: Field, c: int, m: int) -> int:
     """The exponent q^m - c, checked to be a nonnegative integer."""
     if c < 1:
@@ -94,27 +85,38 @@ def _alpha_val(field: Field, alpha) -> int:
     return val
 
 
-def count_qpow(g, field: Field, c: int, alpha, m: int):
-    """Exact N_alpha(m): coefficients of g^(q^m - c) equal to alpha."""
+def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
+    """Exact N_alpha(m) for m = m_lo .. m_hi (empty when m_hi < m_lo).
+
+    q^m - c = (q^m_lo - c) + (q-1)(q^m_lo + ... + q^(m-1)): one walk over the
+    digits of q^m_lo - c, zero-padded to m_lo digits, then q-1 repeated.
+    """
     g = _as_dense(g, field)
     _check_g(g)
-    n = _exponent(field, c, m)
+    n = _exponent(field, c, m_lo)
     alpha_val = _alpha_val(field, alpha)
-    return _automaton_for(g, field, [n]).count(n, alpha_val)
+    if m_hi < m_lo:
+        return []
+    low = automaton.base_digits(n, field.q)
+    digits = low + [0] * (m_lo - len(low)) + [field.q - 1] * (m_hi - m_lo)
+    counter = automaton.build_automaton(from_dense(g, field), digits=digits)
+    out = counter.output_vector(alpha_val)
+    return [sum(u * x for u, x in zip(out, vec))
+            for vec in itertools.islice(counter.walk(digits), m_lo, None)]
+
+
+def count_qpow(g, field: Field, c: int, alpha, m: int):
+    """Exact N_alpha(m): coefficients of g^(q^m - c) equal to alpha."""
+    return qpow_counts(g, field, c, alpha, m, m)[0]
 
 
 def power_census(g, field: Field, n: int):
     """Census of g^n: each nonzero coefficient value and its multiplicity."""
-    g = _as_dense(g, field)
-    if n == 0:
-        return {field.one: 1}
-    counter = _automaton_for(g, field, [n])
-    census = {}
-    for alpha in range(1, field.q):
-        count = counter.count(n, alpha)
-        if count:
-            census[alpha] = count
-    return census
+    if n < 0:
+        raise QPowError("n must be nonnegative")
+    digits = automaton.base_digits(n, field.q)
+    g = from_dense(_as_dense(g, field), field)
+    return automaton.build_automaton(g, digits=digits).census(n)
 
 
 @dataclass(frozen=True)
@@ -158,16 +160,14 @@ def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
         l += 1
     q = field.q
     # the classes' first three admissible m are exactly l .. l + 3d - 1
-    exponents = {m: _exponent(field, c, m) for m in range(l, l + 3 * d)}
-    alpha_val = _alpha_val(field, alpha)
-    counter = _automaton_for(g, field, exponents.values())
+    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1)
     u = [Fraction(0)] * d
     v = [Fraction(0)] * d
     for residue in range(d):
         m1 = l + ((residue - l) % d)  # smallest admissible m in this class
         m2 = m1 + d
         m3 = m2 + d
-        n1, n2, n3 = (counter.count(exponents[m], alpha_val) for m in (m1, m2, m3))
+        n1, n2, n3 = (counts[m - l] for m in (m1, m2, m3))
         ur = Fraction(n2 - n1, q**m2 - q**m1)
         vr = Fraction(n1) - ur * q**m1
         if ur * q**m3 + vr != n3:
@@ -177,7 +177,7 @@ def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
         u[residue] = ur
         v[residue] = vr
     return QPowProfile(
-        g=tuple(g), c=c, alpha=alpha_val, q=q, d=d, mu=mu, l=l,
+        g=tuple(g), c=c, alpha=_alpha_val(field, alpha), q=q, d=d, mu=mu, l=l,
         u=tuple(u), v=tuple(v),
     )
 

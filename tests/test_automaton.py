@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coeffcount.automaton import (
     AutomatonError,
     StateCapError,
+    base_digits,
     build_automaton,
     count_via_automaton,
 )
@@ -26,6 +28,10 @@ def test_worked_example_structure():
     for digit in (1, 1, 0):
         vec = A.apply_digit(digit, vec)
     assert sorted(vec) == [4, 4]
+    # the walk yields the start vector, then the vector after each digit
+    walked = list(A.walk([1, 1, 0]))
+    assert len(walked) == 4
+    assert walked[0] == A.start_vector() and walked[-1] == vec
 
 
 def test_constant_polynomial():
@@ -94,6 +100,43 @@ def test_prefix_counting():
     for n in (0, 1, 5, 12, 30):
         want = brute_power_census(g * f.pow(n), 1, 1)
         assert count_via_automaton(f, n, 1, prefix=g) == want
+    A = build_automaton(f, seeds=[g])
+    for n in (0, 7, 30):
+        assert A.census(n, prefix=g) == (g * f.pow(n)).coeff_census()
+
+
+CENSUS_FIELDS = {2: Field(2), 3: F3, 4: F4, 5: Field(5), 7: Field(7),
+                 8: Field(2, 3), 9: Field(3, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(CENSUS_FIELDS)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_census_matches_oracle(q, k, data):
+    # one digit product and q - 1 dot products against plain multiplication
+    field = CENSUS_FIELDS[q]
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * k),
+        min_size=1, max_size=4, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    A = build_automaton(f)
+    census = A.census(n)
+    assert census == brute_power_census(f, n)
+    assert census == {a: A.count(n, a) for a in range(1, q) if A.count(n, a)}
+
+
+def test_base_digits():
+    assert base_digits(3**40 - 1, 3) == [2] * 40
+    with pytest.raises(ValueError):
+        base_digits(-1, 2)
+    with pytest.raises(ValueError):
+        build_automaton(parse_poly("1+x", 1, F2)).census(-5)
 
 
 def test_prefix_needs_seed():

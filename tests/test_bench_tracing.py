@@ -1,0 +1,57 @@
+"""The benchmark's tracer (bench/tracing.py) wraps library functions by name.
+
+A refactor that renames or drops one of them would only show in a traced
+benchmark run; these tests load the tracer read-only and make the same
+lookups and calls it makes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import coeffcount
+from coeffcount import (  # noqa: F401  (targets() reads these package attributes)
+    automaton, lattice, mpoly, oracle, qpow, ratgen, traveling, unipoly,
+)
+from coeffcount.ffield import Field
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
+    for owner, attr, metric, _ in tracing.targets(coeffcount):
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        assert metric in tracing.TIME_METRICS
+
+
+def _traced_steps(tracing, call):
+    tracer = tracing.Tracer(coeffcount)
+    tracer.install()
+    try:
+        call()
+        tracer.end_call(1.0)
+    finally:
+        tracer.uninstall()
+    return tracer.take()["automaton.digit_steps"]
+
+
+def test_traced_evaluations_walk_each_digit_once():
+    tracing = _tracing()
+    F2, F3 = Field(2), Field(3)
+    # one digit product per census, whatever the field size
+    assert _traced_steps(tracing, lambda: qpow.power_census([1, 1], F3, 3**5 - 1)) == 5
+    # one walk reads all 3d = 12 counts N(0..11) of g^(2^m - 1)
+    assert _traced_steps(
+        tracing, lambda: qpow.fit_qpow_profile([1, 1, 1, 1, 1], F2, 1, 1)) == 11
+    assert _traced_steps(tracing, lambda: qpow.count_qpow([1, 1, 1], F2, 1, 1, 7)) == 7
+    A = automaton.build_automaton(mpoly.parse_poly("1+x1+x2", 2, F2))
+    assert _traced_steps(tracing, lambda: A.repunit_counts(1, 6)) == 5
+    assert _traced_steps(tracing, lambda: A.count(2**9 + 1, 1)) == 10
+    assert _traced_steps(tracing, A.krylov_order) == A.krylov_order()

@@ -1,11 +1,11 @@
 import pytest
 
+from coeffcount.automaton import base_digits
 from coeffcount.closed_forms import (
     all_ones_power_coeff,
     all_ones_power_count,
     averaging_identity_sides,
     binomial_row_census,
-    digits,
     doubling_mismatches,
     family_count,
     family_poly,
@@ -39,8 +39,13 @@ def test_lucas():
 
 
 def test_digits():
-    assert digits(0, 3) == []
-    assert digits(11, 2) == [1, 1, 0, 1]
+    assert base_digits(0, 3) == []
+    assert base_digits(11, 2) == [1, 1, 0, 1]
+    # a negative n is refused instead of looping on floor division forever
+    with pytest.raises(ValueError):
+        binomial_row_census(-3, 2)
+    with pytest.raises(ValueError):
+        all_ones_power_count(-3, 2)
 
 
 def test_binomial_row_census():

@@ -75,6 +75,9 @@ def test_monomial_count_vs_expansion():
         poly = nested_sum_product(parts)
         n = poly.num_terms if not poly.is_zero() else 0
         assert distinct_monomial_count(parts) == n, parts
+        # the factors commute: any order of the parts gives the same terms
+        for perm in set(itertools.permutations(parts)):
+            assert nested_sum_product(perm).terms == poly.terms, perm
 
 
 def test_recurrence_check():

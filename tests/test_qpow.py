@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import coeffcount
 from coeffcount import unipoly
+from coeffcount.automaton import build_automaton
 from coeffcount.ffield import Field
 from coeffcount.mpoly import dense_coeffs, from_dense, parse_poly
 from coeffcount.oracle import brute_power_census
@@ -18,6 +19,7 @@ from coeffcount.qpow import (
     max_multiplicity,
     power_census,
     primitive_u_check,
+    qpow_counts,
     splitting_degree,
 )
 
@@ -91,6 +93,28 @@ def test_census_of_huge_exponents():
     # the (3^h + 1) / 2 exponents j < 3^h with an even number of such digits
     h = 500
     assert power_census([1, 1], F3, 3**h - 1) == {1: (3**h + 1) // 2, 2: (3**h - 1) // 2}
+
+
+@pytest.mark.parametrize("q, c, m_lo", [
+    (2, 1, 0), (3, 2, 1), (7, 5, 1),
+    # q^m_lo - c has fewer than m_lo digits: the walk pads it with zeros
+    (2, 2, 1), (3, 7, 2), (3, 8, 2), (5, 24, 2), (2, 3, 2), (4, 13, 2),
+])
+def test_qpow_counts_match_digit_products(q, c, m_lo):
+    field = FIELDS[q]
+    for gg in ([1, 1], [1, 1, 0, 1], [q - 1, 1, 1], [1, q - 1, 0, 1, 1]):
+        full = build_automaton(from_dense(gg, field))
+        m_hi = m_lo + (8 if q == 2 else 4)
+        for alpha in range(1, q):
+            want = [full.count(q**m - c, alpha) for m in range(m_lo, m_hi + 1)]
+            assert qpow_counts(gg, field, c, alpha, m_lo, m_hi) == want, (gg, alpha)
+            assert count_qpow(gg, field, c, alpha, m_lo) == want[0]
+    assert qpow_counts([1, 1], field, c, 1, m_lo, m_lo - 1) == []
+
+
+def test_power_census_rejects_negative_exponent():
+    with pytest.raises(QPowError):
+        power_census([1, 1], F2, -1)
 
 
 @settings(max_examples=60, deadline=None)
