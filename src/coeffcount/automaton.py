@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from .ffield import _TABLE_LIMIT, Field, FieldElem
-from .mpoly import MultiPoly
+from .mpoly import ExponentPacker, MultiPoly
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -297,29 +297,14 @@ def build_automaton(
     npoints = len(box)
 
     # pack exponent vectors of products f^a * G into single ints
-    max_exp = [(q - 1) * d + b for d, b in zip(degs, bounds)]
-    widths = [max(int(e).bit_length(), 1) for e in max_exp]
-    shifts = []
-    acc_shift = 0
-    for w in widths:
-        shifts.append(acc_shift)
-        acc_shift += w
-    masks = [(1 << w) - 1 for w in widths]
-
-    def pack(exp) -> int:
-        key = 0
-        for e, sh in zip(exp, shifts):
-            key |= e << sh
-        return key
-
+    packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
+    pack = packer.pack
     box_packed = [pack(pt) for pt in box.points]
 
     f_pows = [MultiPoly.one(k, field)]
     for _ in range(q - 1):
         f_pows.append(f_pows[-1] * f)
-    f_pows_packed = [
-        sorted((pack(e), c) for e, c in g.terms.items()) for g in f_pows
-    ]
+    f_pows_packed = [packer.pack_terms(g) for g in f_pows]
 
     split_cache: dict[int, tuple[int, int]] = {}
 
@@ -327,13 +312,11 @@ def build_automaton(
         got = split_cache.get(key)
         if got is not None:
             return got
+        exp = packer.unpack(key)
         gamma_rank = 0
-        delta_key = 0
-        for w, sh, mask in zip(widths, shifts, masks):
-            e = (key >> sh) & mask
+        for e in exp:
             gamma_rank = gamma_rank * q + e % q
-            delta_key |= (e // q) << sh
-        point = delta_idx.get(delta_key)
+        point = delta_idx.get(pack([e // q for e in exp]))
         if point is None:
             raise AutomatonError("internal error: slice escaped the box")
         split_cache[key] = (gamma_rank, point)

@@ -355,21 +355,6 @@ def find_irreducible(p: int, r: int):
     raise FieldError("no irreducible found")  # unreachable: they always exist
 
 
-def _factor_int(n: int):
-    """Prime factors of n by trial division (n stays small here)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_primitive(g, field: Field) -> bool:
     """True iff a root of irreducible g generates F_{q^d}^* (d = deg g).
 
@@ -382,7 +367,7 @@ def is_primitive(g, field: Field) -> bool:
         raise FieldError("is_primitive requires an irreducible polynomial")
     order = field.q**d - 1
     x = [0, 1]
-    for ell in _factor_int(order):
+    for ell in unipoly.prime_factors(order):
         if unipoly.powmod(field, x, order // ell, g) == [1]:
             return False
     return True

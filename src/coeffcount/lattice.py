@@ -5,7 +5,9 @@ k_1 + ... + k_i <= i, total n, |K_n| = Catalan), the distinct-monomial
 count of products of nested variable sums prod (x_1 + ... + x_{part_i}),
 the prefix-sum polytope with bounds t_n + ... + t_{n-i+1}, and the path
 counts under periodically shifting staircase boundaries.  All counts are
-exact integers, cross-checkable against the brute-force oracle.
+exact integers, cross-checkable against the brute-force oracle.  The
+product polynomials (nested sums, ascending, Fuss and staircase powers)
+are products of linear forms, expanded by `mpoly.linear_product`.
 
 Every weighted sum over ballot-bounded sequences is evaluated by one
 transfer DP over (position, prefix sum), `_ballot_sum`; the enumerators
@@ -20,7 +22,7 @@ from math import comb
 from operator import mul
 
 from .combinat import catalan, gbinom, multichoose
-from .mpoly import ZZ, MultiPoly
+from .mpoly import ZZ, MultiPoly, linear_product
 
 DEFAULT_ENUM_CAP = 15
 # Most (row entry, next row entry) pairs one ballot sum may visit, checked
@@ -140,18 +142,12 @@ def lpath_sequences(n: int, t: int):
 def nested_sum_product(parts) -> MultiPoly:
     """The polynomial prod_i (x_1 + ... + x_{parts_i}) over the integers."""
     parts = list(parts)
+    if any(lam < 0 for lam in parts):
+        raise LatticeError("parts must be nonnegative")
     k = max(parts) if parts else 1
-    poly = MultiPoly.one(k, ZZ)
-    for lam in parts:
-        if lam < 0:
-            raise LatticeError("parts must be nonnegative")
-        if lam == 0:
-            return MultiPoly.zero(k, ZZ)
-        s = MultiPoly(k, ZZ, {
-            tuple(1 if j == i else 0 for j in range(k)): 1 for i in range(lam)
-        })
-        poly = poly * s
-    return poly
+    if 0 in parts:
+        return MultiPoly.zero(k, ZZ)
+    return linear_product(k, ZZ, (dict.fromkeys(range(lam), 1) for lam in parts))
 
 
 def distinct_monomial_count(parts) -> int:
@@ -405,15 +401,8 @@ def noncrossing_identity(ms):
 
 def ascending_product_poly(n: int, m: int) -> MultiPoly:
     """prod_{j=1}^{n-1} (x_0 + x_1 + ... + x_{j+m}), variables x_0..x_{n-1+m}."""
-    k = n + m
-    poly = MultiPoly.one(k, ZZ)
-    for j in range(1, n):
-        s = MultiPoly(k, ZZ, {
-            tuple(1 if idx == i else 0 for idx in range(k)): 1
-            for i in range(j + m + 1)
-        })
-        poly = poly * s
-    return poly
+    return linear_product(n + m, ZZ, (dict.fromkeys(range(j + m + 1), 1)
+                                      for j in range(1, n)))
 
 
 def ascending_product_count(n: int, m: int) -> int:
@@ -437,30 +426,14 @@ def fuss_catalan(n: int, k: int) -> int:
 
 def fuss_product_poly(n: int, k: int) -> MultiPoly:
     """prod_{j=1}^{n-1} (x_0 + ... + x_j)^k, variables x_0..x_{n-1}."""
-    kv = max(n, 1)
-    poly = MultiPoly.one(kv, ZZ)
-    for j in range(1, n):
-        s = MultiPoly(kv, ZZ, {
-            tuple(1 if idx == i else 0 for idx in range(kv)): 1
-            for i in range(j + 1)
-        })
-        for _ in range(k):
-            poly = poly * s
-    return poly
+    return linear_product(max(n, 1), ZZ, (dict.fromkeys(range(j + 1), 1)
+                                          for j in range(1, n) for _ in range(k)))
 
 
 def staircase_power_poly(n: int, k: int) -> MultiPoly:
     """prod_{j=1}^{n-1} (x_0 + ... + x_j)^(j+k), variables x_0..x_{n-1}."""
-    kv = max(n, 1)
-    poly = MultiPoly.one(kv, ZZ)
-    for j in range(1, n):
-        s = MultiPoly(kv, ZZ, {
-            tuple(1 if idx == i else 0 for idx in range(kv)): 1
-            for i in range(j + 1)
-        })
-        for _ in range(j + k):
-            poly = poly * s
-    return poly
+    return linear_product(max(n, 1), ZZ, (dict.fromkeys(range(j + 1), 1)
+                                          for j in range(1, n) for _ in range(j + k)))
 
 
 def _triangle_matrix(size: int, shift: int):
@@ -544,8 +517,7 @@ def staircase_grid_report(n_max: int, k_max: int):
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
-            poly = staircase_power_poly(n, k)
-            count = poly.num_terms if not poly.is_zero() else 1
+            count = staircase_power_poly(n, k).num_terms
             rows.append(
                 (n, k, count, fmt(R[n][k]), fmt(R[n + k][k]),
                  weighted_polytope_sum(n, k))

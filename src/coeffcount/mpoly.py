@@ -3,7 +3,9 @@
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
 Field coefficients are stored as integer encodings (see ffield); integer
 coefficients are plain ints.  Values are never mutated after
-construction, so polynomials can be shared freely.
+construction, so polynomials can be shared freely.  `linear_product`
+expands products of linear forms, and `ExponentPacker` packs exponent
+vectors into int keys for the dict loops that live outside this module.
 """
 
 from __future__ import annotations
@@ -89,13 +91,6 @@ class MultiPoly:
     @classmethod
     def one(cls, k, ring):
         return cls.constant(k, ring, ring.one)
-
-    @classmethod
-    def variable(cls, i, k, ring):
-        if not 1 <= i <= k:
-            raise ValueError(f"variable index {i} out of range 1..{k}")
-        exp = tuple(1 if j == i - 1 else 0 for j in range(k))
-        return cls(k, ring, {exp: ring.one}, _clean=True)
 
     # -- basic queries -------------------------------------------------------
 
@@ -268,6 +263,63 @@ class MultiPoly:
             else:
                 parts.append(f"{c}*{body}")
         return " + ".join(parts)
+
+
+def linear_product(k: int, ring, forms) -> MultiPoly:
+    """The product of linear forms, multiplied left to right starting from 1.
+
+    Each form maps a 0-based variable index, or None for the constant, to
+    its coefficient; zero coefficients are dropped, so an empty form is the
+    zero polynomial.  Every form is one MultiPoly.mul, so a power is passed
+    as the form repeated.
+    """
+    zero = (0,) * k
+    poly = MultiPoly.one(k, ring)
+    for form in forms:
+        terms = {}
+        for i, c in form.items():
+            if i is None:
+                exp = zero
+            elif 0 <= i < k:
+                exp = zero[:i] + (1,) + zero[i + 1:]
+            else:
+                raise ValueError(f"variable index {i} out of range 0..{k - 1}")
+            if c:
+                terms[exp] = c
+        poly = poly.mul(MultiPoly(k, ring, terms, _clean=True))
+    return poly
+
+
+class ExponentPacker:
+    """Packs exponent vectors into single ints, one bit field per variable.
+
+    Field i is wide enough for exponents up to bounds[i], so adding packed
+    keys adds the exponent vectors as long as every sum stays in bounds.
+    """
+
+    __slots__ = ("shifts", "masks")
+
+    def __init__(self, bounds):
+        self.shifts, self.masks = [], []
+        shift = 0
+        for b in bounds:
+            width = max(int(b).bit_length(), 1)
+            self.shifts.append(shift)
+            self.masks.append((1 << width) - 1)
+            shift += width
+
+    def pack(self, exp) -> int:
+        key = 0
+        for e, sh in zip(exp, self.shifts):
+            key |= e << sh
+        return key
+
+    def unpack(self, key: int):
+        return tuple((key >> sh) & mask for sh, mask in zip(self.shifts, self.masks))
+
+    def pack_terms(self, poly: MultiPoly):
+        """The (key, coefficient) pairs of poly, sorted by key."""
+        return sorted((self.pack(e), c) for e, c in poly.terms.items())
 
 
 def dense_coeffs(f: MultiPoly):

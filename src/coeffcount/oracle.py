@@ -4,36 +4,16 @@ Everything here expands products by plain repeated multiplication: no
 Frobenius shortcut, no recurrences, no closed forms.  Agreement between
 these counts and the optimized modules is what the test suite leans on.
 
-Exponent vectors are packed into single integers (fixed bit width per
-variable, wide enough for the full product) purely to make dict keys
-cheap; the arithmetic is still the schoolbook convolution.
+Exponent vectors are packed into single integers by mpoly.ExponentPacker
+(fixed bit width per variable, wide enough for the full product) purely to
+make dict keys cheap; the arithmetic is still the schoolbook convolution,
+written out here rather than shared with MultiPoly.mul.
 """
 
 from __future__ import annotations
 
 from .ffield import Field
-from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, MultiPoly
-
-
-def _pack_widths(bounds):
-    """Bit width per variable, sized for exponents up to bounds_i."""
-    return [max(int(b).bit_length(), 1) for b in bounds]
-
-
-def _pack_terms(poly: MultiPoly, widths):
-    shifts = []
-    acc = 0
-    for w in widths:
-        shifts.append(acc)
-        acc += w
-    packed = []
-    for exp, c in poly.terms.items():
-        key = 0
-        for e, sh in zip(exp, shifts):
-            key |= e << sh
-        packed.append((key, c))
-    packed.sort()
-    return packed
+from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, ExponentPacker, MultiPoly
 
 
 def _census_of(packed_terms_values):
@@ -67,8 +47,8 @@ def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
         budget = DEFAULT_TERM_BUDGET
     if f.is_zero():
         return [{f.ring.one: 1}] + [{} for _ in range(n_max)]
-    widths = _pack_widths([d * max(n_max, 1) for d in f.var_degrees()])
-    factor = _pack_terms(f, widths)
+    packer = ExponentPacker([d * max(n_max, 1) for d in f.var_degrees()])
+    factor = packer.pack_terms(f)
     acc = {0: f.ring.one}
     out = [_census_of(acc.values())]
     for _ in range(n_max):
@@ -109,9 +89,9 @@ def brute_product_census(factors, budget: int | None = None):
     for g in factors:
         for i, d in enumerate(g.var_degrees()):
             bounds[i] += d
-    widths = _pack_widths(bounds)
+    packer = ExponentPacker(bounds)
     acc = {0: ring.one}
     for g in factors:
-        acc = _mul_packed(acc, _pack_terms(g, widths), ring, budget)
+        acc = _mul_packed(acc, packer.pack_terms(g), ring, budget)
     census = _census_of(acc.values())
     return len(acc), census

@@ -4,6 +4,9 @@ Covers the chain products prod (1 + x_i + x_{i+1}) over F_p, the
 traveling products prod (x_{(i-1)j+1} + ... + x_{(i-1)j+k}), the windowed
 powers prod (x_i + ... + x_{i+k})^m with their binomial transfer matrix,
 and several one-off families counted alongside a brute-force expansion.
+Every multivariate product here is a product of linear forms, expanded by
+`mpoly.linear_product` one factor at a time; the univariate `j_poly` keeps
+its own loop.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import comb
 
 from .combinat import narayana
 from .ffield import Field
-from .mpoly import ZZ, MultiPoly
+from .mpoly import ZZ, MultiPoly, linear_product
 from .ratgen import RationalGF, pmul
 
 
@@ -41,17 +44,8 @@ def h_seq(p: int, terms: int):
 
 def h_poly(p: int, n: int) -> MultiPoly:
     """prod_{i=1}^n (1 + x_i + x_{i+1}) over F_p, in n+1 variables."""
-    field = Field(p)
-    k = n + 1
-    poly = MultiPoly.one(k, field)
-    for i in range(1, n + 1):
-        f = MultiPoly(k, field, {
-            (0,) * k: 1,
-            tuple(1 if j == i - 1 else 0 for j in range(k)): 1,
-            tuple(1 if j == i else 0 for j in range(k)): 1,
-        })
-        poly = poly * f
-    return poly
+    return linear_product(n + 1, Field(p),
+                          ({None: 1, i - 1: 1, i: 1} for i in range(1, n + 1)))
 
 
 def univariate_chain_check(p: int, n_max: int) -> bool:
@@ -100,16 +94,9 @@ def traveling_seq(j: int, k: int, terms: int):
 
 def traveling_poly(j: int, k: int, n: int) -> MultiPoly:
     """prod_{i=1}^n (x_{(i-1)j+1} + ... + x_{(i-1)j+k}) over the integers."""
-    nvars = max((n - 1) * j + k, 1)
-    poly = MultiPoly.one(nvars, ZZ)
-    for i in range(1, n + 1):
-        base = (i - 1) * j
-        f = MultiPoly(nvars, ZZ, {
-            tuple(1 if t == base + s else 0 for t in range(nvars)): 1
-            for s in range(k)
-        })
-        poly = poly * f
-    return poly
+    return linear_product(max((n - 1) * j + k, 1), ZZ, (
+        dict.fromkeys(range((i - 1) * j, (i - 1) * j + k), 1)
+        for i in range(1, n + 1)))
 
 
 # -- spaced triple product and the +-1 chain (example families) --------------------
@@ -128,29 +115,17 @@ def spaced_triple_genfun() -> RationalGF:
 
 
 def spaced_triple_poly(n: int) -> MultiPoly:
-    nvars = n + 4
-    poly = MultiPoly.one(nvars, ZZ)
-    for i in range(1, n + 1):
-        f = MultiPoly(nvars, ZZ, {
-            tuple(1 if t == i - 1 + s else 0 for t in range(nvars)): 1
-            for s in (0, 2, 4)
-        })
-        poly = poly * f
-    return poly
+    """prod_{i=1}^n (x_i + x_{i+2} + x_{i+4}) over the integers."""
+    return linear_product(n + 4, ZZ, (dict.fromkeys((i - 1, i + 1, i + 3), 1)
+                                      for i in range(1, n + 1)))
 
 
 def pm_chain_poly(n: int, t: int) -> MultiPoly:
-    """prod_{i=1}^n (1 - x_i + x_{i+t}) over the integers."""
-    nvars = max(n + t, 1)
-    poly = MultiPoly.one(nvars, ZZ)
-    for i in range(1, n + 1):
-        f = MultiPoly(nvars, ZZ, {
-            (0,) * nvars: 1,
-            tuple(1 if s == i - 1 else 0 for s in range(nvars)): -1,
-            tuple(1 if s == i + t - 1 else 0 for s in range(nvars)): 1,
-        })
-        poly = poly * f
-    return poly
+    """prod_{i=1}^n (1 - x_i + x_{i+t}) over the integers, t >= 1."""
+    if t < 1:
+        raise TravelingError("need t >= 1")
+    return linear_product(max(n + t, 1), ZZ, ({None: 1, i - 1: -1, i + t - 1: 1}
+                                              for i in range(1, n + 1)))
 
 
 def pm_chain_genfun(t: int) -> RationalGF:
@@ -271,16 +246,8 @@ def window_power_genfun(k: int, m: int) -> RationalGF:
 
 def window_power_poly(n: int, k: int, m: int) -> MultiPoly:
     """prod_{i=1}^n (x_i + ... + x_{i+k})^m over the integers."""
-    nvars = max(n + k, 1)
-    poly = MultiPoly.one(nvars, ZZ)
-    for i in range(1, n + 1):
-        f = MultiPoly(nvars, ZZ, {
-            tuple(1 if t == i - 1 + s else 0 for t in range(nvars)): 1
-            for s in range(k + 1)
-        })
-        for _ in range(m):
-            poly = poly * f
-    return poly
+    return linear_product(max(n + k, 1), ZZ, (
+        dict.fromkeys(range(i - 1, i + k), 1) for i in range(1, n + 1) for _ in range(m)))
 
 
 def window_power_counts(k: int, m: int, terms: int):
@@ -314,17 +281,10 @@ def d_poly(n: int, k: int) -> MultiPoly:
     if n < 0 or k < -1:
         raise TravelingError("bad parameters")
     nx = n + k
-    ny = max(n - 1, 0)
-    nvars = max(nx + ny, 1)
-    poly = MultiPoly.one(nvars, ZZ)
-    for i in range(1, n + 1):
-        terms = {}
-        for t in range(i - 1):  # y_1 .. y_{i-1}
-            terms[tuple(1 if s == nx + t else 0 for s in range(nvars))] = 1
-        for s_off in range(k + 1):  # x_i .. x_{i+k}
-            terms[tuple(1 if s == i - 1 + s_off else 0 for s in range(nvars))] = 1
-        poly = poly * MultiPoly(nvars, ZZ, terms)
-    return poly
+    # factor i: y_1..y_{i-1} (indices nx..), then x_i..x_{i+k}
+    return linear_product(max(nx + max(n - 1, 0), 1), ZZ, (
+        dict.fromkeys([*range(nx, nx + i - 1), *range(i - 1, i + k)], 1)
+        for i in range(1, n + 1)))
 
 
 def schroeder_sum(n: int) -> int:
@@ -336,8 +296,7 @@ def schroeder_sum(n: int) -> int:
 
 def d_count(n: int, k: int) -> int:
     """Distinct monomials of d_poly(n, k) by direct expansion."""
-    poly = d_poly(n, k)
-    return poly.num_terms if not poly.is_zero() else 1
+    return d_poly(n, k).num_terms
 
 
 def nu_sequence(n_max: int):

@@ -151,7 +151,7 @@ def is_irreducible(F, a) -> bool:
         w = powmod(F, w, q, a)
     if sub(F, w, x):
         return False
-    for ell in _prime_factors(n):
+    for ell in prime_factors(n):
         w = x
         for _ in range(n // ell):
             w = powmod(F, w, q, a)
@@ -160,7 +160,8 @@ def is_irreducible(F, a) -> bool:
     return True
 
 
-def _prime_factors(n: int):
+def prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -168,7 +169,7 @@ def _prime_factors(n: int):
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out

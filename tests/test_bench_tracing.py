@@ -31,7 +31,7 @@ def test_every_traced_name_resolves():
         assert metric in tracing.TIME_METRICS
 
 
-def _traced_steps(tracing, call):
+def _traced(tracing, call, metric="automaton.digit_steps"):
     tracer = tracing.Tracer(coeffcount)
     tracer.install()
     try:
@@ -39,19 +39,29 @@ def _traced_steps(tracing, call):
         tracer.end_call(1.0)
     finally:
         tracer.uninstall()
-    return tracer.take()["automaton.digit_steps"]
+    return tracer.take()[metric]
 
 
 def test_traced_evaluations_walk_each_digit_once():
     tracing = _tracing()
     F2, F3 = Field(2), Field(3)
     # one digit product per census, whatever the field size
-    assert _traced_steps(tracing, lambda: qpow.power_census([1, 1], F3, 3**5 - 1)) == 5
+    assert _traced(tracing, lambda: qpow.power_census([1, 1], F3, 3**5 - 1)) == 5
     # one walk reads all 3d = 12 counts N(0..11) of g^(2^m - 1)
-    assert _traced_steps(
+    assert _traced(
         tracing, lambda: qpow.fit_qpow_profile([1, 1, 1, 1, 1], F2, 1, 1)) == 11
-    assert _traced_steps(tracing, lambda: qpow.count_qpow([1, 1, 1], F2, 1, 1, 7)) == 7
+    assert _traced(tracing, lambda: qpow.count_qpow([1, 1, 1], F2, 1, 1, 7)) == 7
     A = automaton.build_automaton(mpoly.parse_poly("1+x1+x2", 2, F2))
-    assert _traced_steps(tracing, lambda: A.repunit_counts(1, 6)) == 5
-    assert _traced_steps(tracing, lambda: A.count(2**9 + 1, 1)) == 10
-    assert _traced_steps(tracing, A.krylov_order) == A.krylov_order()
+    assert _traced(tracing, lambda: A.repunit_counts(1, 6)) == 5
+    assert _traced(tracing, lambda: A.count(2**9 + 1, 1)) == 10
+    assert _traced(tracing, A.krylov_order) == A.krylov_order()
+
+
+def test_traced_builders_count_one_product_per_factor():
+    # a builder that bypassed MultiPoly.mul would read 0 products here, and
+    # mpoly.mul_ms would read 0 on the benchmark's product slots
+    tracing = _tracing()
+    for call in (lambda: traveling.traveling_poly(1, 3, 8),
+                 lambda: traveling.window_power_poly(4, 2, 2),
+                 lambda: lattice.nested_sum_product([6, 5, 4, 3, 2, 1, 1, 1])):
+        assert _traced(tracing, call, "mpoly.mul_calls") == 8

@@ -120,6 +120,14 @@ def test_lattice_commands(capsys):
     assert data["direct"] == data["formula"] == "14"
     code, out, _ = run_cli(capsys, "lattice", "mrsk", "--m-vec", "1,2")
     assert json.loads(out)["equal"] is True
+    code, out, _ = run_cli(capsys, "lattice", "ex433", "--n", "3", "--s", "2")
+    grid = json.loads(out)["grid"]
+    assert code == 0 and [(r["n"], r["k"]) for r in grid] == [
+        (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+    assert [r["oracle"] for r in grid] == ["1", "1", "3", "4", "18", "30"]
+    assert [r["R(n+k,k)"] for r in grid] == [r["oracle"] for r in grid]
+    assert [r["R(n,k)"] for r in grid] == ["1", "0", "1", "1", "3", "1"]
+    assert [r["weighted"] for r in grid] == ["1", "1", "3", "6", "31", "74"]
 
 
 def test_traveling_commands(capsys):
@@ -133,6 +141,19 @@ def test_traveling_commands(capsys):
     data = json.loads(out)
     assert data["numerator"] == ["1", "1"]
     assert data["denominator"] == ["1", "-5", "3"]
+    code, out, _ = run_cli(capsys, "traveling", "d-counts", "--n", "10", "--k", "2")
+    data = json.loads(out)
+    assert code == 0 and data["schroeder"] == "1037718"
+    table = data["table"]
+    assert [r["n"] for r in table] == list(range(3, 11))
+    assert [r["nu"] for r in table] == ["2", "6", "22", "92", "420", "2042",
+                                        "10404", "54954"]
+    assert [r["half"] for r in table] == ["1", "3", "11", "46", "210", "1021",
+                                          "5202", "27477"]
+    assert [r["direct_index"] for r in table] == ["3", "11", "46", "210", "1021",
+                                                  "5202", "27466", "149089"]
+    assert [r["shifted_index"] for r in table] == ["1", "3", "11", "46", "210",
+                                                   "1021", "5202", "27466"]
 
 
 def test_verify_minimal(capsys):

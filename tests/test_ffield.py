@@ -9,6 +9,7 @@ from coeffcount.ffield import (
     is_primitive,
 )
 from coeffcount.mpoly import dense_coeffs, parse_poly
+from coeffcount.unipoly import prime_factors
 
 F2 = Field(2)
 F3 = Field(3)
@@ -90,6 +91,14 @@ def test_is_primitive_examples():
     with pytest.raises(FieldError):
         # reducible input
         is_primitive(dense_coeffs(parse_poly("1+x^2", 1, F2)), F2)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(2) == [2]
+    assert prime_factors(12) == [2, 3]
+    assert prime_factors(4095) == [3, 5, 7, 13]  # 3^2 * 5 * 7 * 13
+    assert prime_factors(242) == [2, 11]  # 2 * 11^2
 
 
 F81 = Field(3, 4)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coeffcount.combinat import catalan, gbinom, multichoose
+from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.lattice import (
     LatticeError,
     ascending_product_count,
@@ -78,6 +79,15 @@ def test_monomial_count_vs_expansion():
         # the factors commute: any order of the parts gives the same terms
         for perm in set(itertools.permutations(parts)):
             assert nested_sum_product(perm).terms == poly.terms, perm
+
+
+def test_nested_sum_product_zero_and_negative_parts():
+    assert nested_sum_product([2, 0]) == MultiPoly.zero(2, ZZ)
+    assert nested_sum_product([0]).is_zero()
+    # a negative part is refused wherever it sits, also after a zero part
+    for parts in ([-1], [2, -1], [0, -1], [-1, 0, 3]):
+        with pytest.raises(LatticeError):
+            nested_sum_product(parts)
 
 
 def test_recurrence_check():
@@ -292,3 +302,30 @@ def test_staircase_grid():
     # spot oracle values
     assert staircase_power_poly(2, 1).num_terms == 3
     assert staircase_power_poly(3, 2).num_terms == 30
+
+
+def _expand(k, factors):
+    """The product of factors written as text, multiplied left to right."""
+    return functools.reduce(MultiPoly.mul, [parse_poly(f, k, ZZ) for f in factors],
+                            MultiPoly.one(k, ZZ))
+
+
+def _xsum(top):
+    return "+".join(f"x{i}" for i in range(1, top + 1))
+
+
+def test_builders_match_written_out_products():
+    for parts in [(), (1,), (2, 1), (3, 3, 1), (1, 3), (4, 2, 2, 1), (5, 1, 1)]:
+        want = _expand(max(parts, default=1), [_xsum(lam) for lam in parts])
+        assert nested_sum_product(parts) == want, parts
+    # the variables x_0..x_r of the docstrings are x1..x{r+1} here
+    for n in range(1, 5):
+        for m in range(n + 1):
+            want = _expand(n + m, [_xsum(j + m + 1) for j in range(1, n)])
+            assert ascending_product_poly(n, m) == want, (n, m)
+    for n in range(1, 5):
+        for k in range(4):
+            want = _expand(n, [_xsum(j + 1) for j in range(1, n) for _ in range(k)])
+            assert fuss_product_poly(n, k) == want, (n, k)
+            want = _expand(n, [_xsum(j + 1) for j in range(1, n) for _ in range(j + k)])
+            assert staircase_power_poly(n, k) == want, (n, k)

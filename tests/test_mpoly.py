@@ -1,21 +1,28 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coeffcount.acceptance import vandermonde_poly
 from coeffcount.ffield import Field
 from coeffcount.mpoly import (
     BudgetError,
+    ExponentPacker,
     MultiPoly,
     ParseError,
     ZZ,
     coeff_census,
     dense_coeffs,
     from_dense,
+    linear_product,
     parse_poly,
 )
 from coeffcount.oracle import brute_power_census
 
 F2 = Field(2)
 F3 = Field(3)
+F4 = Field(2, 2)
 
 
 def test_parse_basic():
@@ -139,3 +146,48 @@ def test_dense_roundtrip():
 def test_repr_is_graded_lex():
     f = parse_poly("x1*x2 + x2^3 + 1 + x1", 2, ZZ)
     assert repr(f) == "1 + x1 + x1*x2 + x2^3"
+
+
+def test_linear_product():
+    # a constant term and a coefficient of -1, as in the plus-minus chains
+    chain = linear_product(2, ZZ, [{None: 1, 0: -1, 1: 1}])
+    assert chain == parse_poly("1-x1+x2", 2, ZZ)
+    assert linear_product(3, ZZ, [{None: 2, 2: 1}, {0: 1, 1: -1}]).terms == {
+        (1, 0, 0): 2, (0, 1, 0): -2, (1, 0, 1): 1, (0, 1, 1): -1}
+    # an empty form, or one whose coefficients vanish, is the zero polynomial
+    assert linear_product(2, ZZ, [{0: 1}, {}]).is_zero()
+    assert linear_product(1, F2, [{None: 0, 0: 0}]).is_zero()
+    # k = 1, and a repeated form is one product per occurrence
+    cube = linear_product(1, F2, [{None: 1, 0: 1}] * 3)
+    assert cube == parse_poly("1+x+x^2+x^3", 1, F2)
+    form = {0: 1, 1: 1}
+    assert linear_product(2, ZZ, [form, form]) == parse_poly("x1^2+2*x1*x2+x2^2", 2, ZZ)
+    # no forms: the empty product is 1
+    assert linear_product(3, ZZ, []) == MultiPoly.one(3, ZZ)
+    with pytest.raises(ValueError):
+        linear_product(2, ZZ, [{2: 1}])
+    with pytest.raises(ValueError):
+        linear_product(2, ZZ, [{-1: 1}])
+
+
+def test_vandermonde_matches_written_out_product():
+    for nvars in range(1, 5):
+        for field in (F2, F3, F4):
+            factors = [parse_poly(f"x{i}+x{j}", nvars, field)
+                       for i, j in itertools.combinations(range(1, nvars + 1), 2)]
+            want = functools.reduce(MultiPoly.mul, factors, MultiPoly.one(nvars, field))
+            assert vandermonde_poly(nvars, field) == want, (nvars, field)
+            assert (vandermonde_poly(nvars, field, plus_one=True)
+                    == want + MultiPoly.one(nvars, field))
+
+
+def test_exponent_packer():
+    packer = ExponentPacker([3, 0, 8])  # widths 2, 1 and 4 bits
+    assert packer.pack((3, 0, 8)) == 3 | 8 << 3
+    for a in itertools.product(range(2), range(1), range(5)):
+        assert packer.unpack(packer.pack(a)) == a
+        for b in itertools.product(range(2), range(1), range(4)):
+            s = tuple(x + y for x, y in zip(a, b))
+            assert packer.pack(a) + packer.pack(b) == packer.pack(s)
+    f = parse_poly("x1^2*x3 + 1 + x1", 3, ZZ)
+    assert packer.pack_terms(f) == [(0, 1), (1, 1), (2 | 1 << 3, 1)]

@@ -1,8 +1,11 @@
+import functools
 from math import comb
 
 import pytest
 
 from coeffcount.combinat import fibonacci, narayana
+from coeffcount.ffield import Field
+from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.ratgen import RationalGF, genfun_equal_as_series
 from coeffcount.traveling import (
     TravelingError,
@@ -95,6 +98,8 @@ def test_pm_chains():
             assert census.get(1, 0) - census.get(-1, 0) == 1
     with pytest.raises(TravelingError):
         pm_chain_genfun(3)
+    with pytest.raises(TravelingError):
+        pm_chain_poly(2, 0)  # 1 - x_i + x_i is no chain
 
 
 def test_connectivity_matrix_and_charpoly():
@@ -156,6 +161,13 @@ def test_schroeder():
     assert d_count(1, 2) == 3  # x1 + x2 + x3
 
 
+def test_zero_product_has_no_monomials():
+    # d_poly(1, -1) has the empty first factor, so the product is zero
+    assert d_poly(1, -1).is_zero()
+    assert d_count(1, -1) == 0
+    assert d_count(0, -1) == 1  # the empty product
+
+
 def test_nu_sequence():
     nu = nu_sequence(7)
     assert nu[2] == 1 and nu[3] == 2 and nu[4] == 6 and nu[5] == 22
@@ -169,3 +181,50 @@ def test_duplication_report():
     for n, nu_n, half, direct, shifted in rows:
         assert str(shifted) == half
         assert str(direct) != half
+
+
+def _expand(k, ring, factors):
+    """The product of factors written as text, multiplied left to right."""
+    return functools.reduce(MultiPoly.mul, [parse_poly(f, k, ring) for f in factors],
+                            MultiPoly.one(k, ring))
+
+
+def _xsum(indices):
+    return "+".join(f"x{i}" for i in indices)
+
+
+def test_builders_match_written_out_products():
+    for p in (2, 3, 5):
+        for n in range(5):
+            want = _expand(n + 1, Field(p),
+                           [f"1+x{i}+x{i + 1}" for i in range(1, n + 1)])
+            assert h_poly(p, n) == want, (p, n)
+    for j in (1, 2, 3):
+        for k in (1, 2, 3):
+            for n in range(5):
+                want = _expand(max((n - 1) * j + k, 1), ZZ,
+                               [_xsum(range((i - 1) * j + 1, (i - 1) * j + k + 1))
+                                for i in range(1, n + 1)])
+                assert traveling_poly(j, k, n) == want, (j, k, n)
+    for n in range(6):
+        want = _expand(n + 4, ZZ, [f"x{i}+x{i + 2}+x{i + 4}" for i in range(1, n + 1)])
+        assert spaced_triple_poly(n) == want, n
+    for t in (1, 2, 3):
+        for n in range(6):
+            want = _expand(n + t, ZZ, [f"1-x{i}+x{i + t}" for i in range(1, n + 1)])
+            assert pm_chain_poly(n, t) == want, (n, t)
+    for n in range(5):
+        for k in (0, 1, 2):
+            for m in (1, 2, 3):
+                want = _expand(max(n + k, 1), ZZ, [_xsum(range(i, i + k + 1))
+                                                   for i in range(1, n + 1)
+                                                   for _ in range(m)])
+                assert window_power_poly(n, k, m) == want, (n, k, m)
+    for n in range(5):
+        for k in (0, 1, 2):
+            nx = n + k
+            # x_1..x_{n+k} are x1..x{nx}; y_1..y_{n-1} follow them
+            want = _expand(max(nx + max(n - 1, 0), 1), ZZ,
+                           [_xsum([*range(nx + 1, nx + i), *range(i, i + k + 1)])
+                            for i in range(1, n + 1)])
+            assert d_poly(n, k) == want, (n, k)
