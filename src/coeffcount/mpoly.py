@@ -3,12 +3,17 @@
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
 Field coefficients are stored as integer encodings (see ffield); integer
 coefficients are plain ints.  Values are never mutated after
-construction, so polynomials can be shared freely.  `linear_product`
-expands products of linear forms, and `ExponentPacker` packs exponent
-vectors into int keys for the dict loops that live outside this module.
+construction, so polynomials can be shared freely.  `MultiPoly.mul`
+multiplies on int keys with one byte-aligned field per variable and
+unpacks the product once; `linear_product` expands products of linear
+forms.  `ExponentPacker` packs exponent vectors into int keys with one
+bit field per variable for the oracle and the automaton build.
 """
 
 from __future__ import annotations
+
+import operator
+import struct
 
 from .ffield import Field
 
@@ -31,21 +36,11 @@ class IntegerRing:
     char = 0
     one = 1
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    # builtins, so that the product loop makes no Python-level call over ZZ
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
 
     def __repr__(self):
         return "ZZ"
@@ -159,20 +154,28 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
+        if not b:
+            return MultiPoly.zero(self.k, ring)
+        top = max(map(max, a)) + max(map(max, b)) if self.k else 0
+        fields = _key_fields(self.k, top)
+        pack, unpack, nbytes = fields.pack, fields.unpack, fields.size
+        from_bytes = int.from_bytes
+        packed_a = [(from_bytes(pack(*e), "little"), c) for e, c in a.items()]
         out = {}
         radd = ring.add
         rmul = ring.mul
         for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                exp = tuple(map(sum, zip(e1, e2)))
+            k2 = from_bytes(pack(*e2), "little")
+            for k1, c1 in packed_a:
+                key = k1 + k2
                 c = rmul(c1, c2)
-                if exp in out:
-                    out[exp] = radd(out[exp], c)
+                if key in out:
+                    out[key] = radd(out[key], c)
                 else:
-                    out[exp] = c
+                    out[key] = c
             if len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in multiplication")
-        out = {e: c for e, c in out.items() if c}
+        out = {unpack(key.to_bytes(nbytes, "little")): c for key, c in out.items() if c}
         return MultiPoly(self.k, ring, out, _clean=True)
 
     def __mul__(self, other):
@@ -288,6 +291,20 @@ def linear_product(k: int, ring, forms) -> MultiPoly:
                 terms[exp] = c
         poly = poly.mul(MultiPoly(k, ring, terms, _clean=True))
     return poly
+
+
+def _key_fields(k: int, top: int) -> struct.Struct:
+    """The int-key layout of MultiPoly.mul: one field per variable.
+
+    Each field is little-endian and 1, 2, 4 or 8 bytes wide, the narrowest
+    that holds top, so adding two keys adds their exponent vectors as long
+    as no sum exceeds top.  Raises BudgetError when top needs more than 64
+    bits.
+    """
+    for code, bits in zip("BHIQ", (8, 16, 32, 64)):
+        if top >> bits == 0:
+            return struct.Struct(f"<{k}{code}")
+    raise BudgetError(f"exponent {top} in multiplication exceeds 2^64 - 1")
 
 
 class ExponentPacker:

@@ -59,9 +59,14 @@ def test_traced_evaluations_walk_each_digit_once():
 
 def test_traced_builders_count_one_product_per_factor():
     # a builder that bypassed MultiPoly.mul would read 0 products here, and
-    # mpoly.mul_ms would read 0 on the benchmark's product slots
+    # mpoly.mul_ms would read 0 on the benchmark's product slots; the term
+    # pairs and output terms pin that each factor is one product with the
+    # same operands
     tracing = _tracing()
-    for call in (lambda: traveling.traveling_poly(1, 3, 8),
-                 lambda: traveling.window_power_poly(4, 2, 2),
-                 lambda: lattice.nested_sum_product([6, 5, 4, 3, 2, 1, 1, 1])):
+    for call, pairs, terms_out in (
+            (lambda: traveling.traveling_poly(1, 3, 8), 4788, 4179),
+            (lambda: traveling.window_power_poly(4, 2, 2), 1560, 1023),
+            (lambda: lattice.nested_sum_product([6, 5, 4, 3, 2, 1, 1, 1]), 836, 692)):
         assert _traced(tracing, call, "mpoly.mul_calls") == 8
+        assert _traced(tracing, call, "mpoly.term_pairs") == pairs
+        assert _traced(tracing, call, "mpoly.terms_out") == terms_out

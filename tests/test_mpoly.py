@@ -23,6 +23,7 @@ from coeffcount.oracle import brute_power_census
 F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
+F9 = Field(3, 2)
 
 
 def test_parse_basic():
@@ -134,6 +135,54 @@ def test_budget_error():
     f = parse_poly("1+x1+x2+x3", 3, ZZ)
     with pytest.raises(BudgetError):
         f.pow(40, budget=500)
+
+
+def test_mul_bounds_the_exponent_width():
+    # the top exponent of the product decides the key width; 2^64 - 2 still fits
+    f = MultiPoly(1, ZZ, {(0,): 1, (2**63 - 1,): 1})
+    assert list(f.mul(f).terms.items()) == [
+        ((0,), 1), ((2**63 - 1,), 2), ((2**64 - 2,), 1)]
+    g = MultiPoly(1, ZZ, {(0,): 1, (2**63,): 1})
+    with pytest.raises(BudgetError, match=str(2**64)):
+        g.mul(g)
+    with pytest.raises(BudgetError):
+        parse_poly("1+x", 1, F2).pow(2**64)
+
+
+def _schoolbook(f, g):
+    """f * g on tuple keys, larger operand inner, as MultiPoly.mul orders it."""
+    ring = f.ring
+    a, b = f.terms, g.terms
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            c = ring.mul(c1, c2)
+            out[exp] = ring.add(out[exp], c) if exp in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+# exponents at the edges of the 1-, 2-, 4- and 8-byte key fields
+EDGE_EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([127, 128, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, F2, F3, F4, F9]), st.integers(0, 4), st.data())
+def test_mul_matches_tuple_schoolbook(ring, k, data):
+    coeffs = st.integers(-3, 3) if ring is ZZ else st.integers(0, ring.q - 1)
+    exps = st.lists(EDGE_EXPONENTS, min_size=k, max_size=k).map(tuple)
+    f, g = (MultiPoly(k, ring, data.draw(st.dictionaries(exps, coeffs, max_size=6)))
+            for _ in range(2))
+    got = f.mul(g).terms
+    want = _schoolbook(f, g)
+    assert got == want
+    assert list(got) == list(want)  # same insertion order
+    assert all(got.values())
 
 
 def test_dense_roundtrip():
