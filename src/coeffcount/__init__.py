@@ -8,8 +8,8 @@ of shifting variable blocks -- all in exact integer and rational
 arithmetic, cross-checkable against a brute-force expansion oracle.
 """
 
-from .automaton import DigitAutomaton, build_automaton, count_via_automaton
-from .ffield import Field, FieldElem, field_arith, find_irreducible, is_primitive
+from .automaton import DigitAutomaton, build_automaton
+from .ffield import Field, FieldElem, find_irreducible, is_primitive
 from .mpoly import MultiPoly, ZZ, parse_poly
 from .oracle import brute_power_census, brute_product_census
 from .qpow import QPowProfile, count_qpow, fit_qpow_profile, splitting_degree
@@ -19,7 +19,6 @@ from .ratgen import (
     fit_recurrence,
     fit_repunit_genfun,
     genfun_equal_as_series,
-    genfun_expand,
     seq_to_genfun,
 )
 
@@ -38,14 +37,11 @@ __all__ = [
     "brute_product_census",
     "build_automaton",
     "count_qpow",
-    "count_via_automaton",
-    "field_arith",
     "find_irreducible",
     "fit_qpow_profile",
     "fit_recurrence",
     "fit_repunit_genfun",
     "genfun_equal_as_series",
-    "genfun_expand",
     "is_primitive",
     "parse_poly",
     "seq_to_genfun",

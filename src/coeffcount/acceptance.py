@@ -28,18 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from . import closed_forms, lattice, qpow, traveling
+from . import closed_forms, lattice, qpow, traveling, unipoly
 from .automaton import base_digits, build_automaton
 from .combinat import catalan, fibonacci, narayana, partitions
 from .ffield import Field
-from .mpoly import MultiPoly, dense_coeffs, linear_product, parse_poly
+from .mpoly import ZZ, MultiPoly, dense_coeffs, linear_product, parse_poly
 from .oracle import power_census_series
-from .ratgen import (
-    RationalGF,
-    fit_repunit_genfun,
-    genfun_equal_as_series,
-    pmul,
-)
+from .ratgen import RationalGF, fit_repunit_genfun, genfun_equal_as_series
 
 FIELDS = {"F2": Field(2), "F3": Field(3), "F4": Field(2, 2)}
 
@@ -119,10 +114,8 @@ def corpus_fit(name: str):
 
 def _gf_with_denominator(seq, den) -> RationalGF:
     """The rational function with the given denominator fitting seq."""
-    num = []
-    for j in range(len(den) - 1):
-        num.append(sum(den[i] * seq[j - i] for i in range(min(j, len(den) - 1) + 1)))
-    gf = RationalGF.make(num, den)
+    head = seq[:len(den) - 1]
+    gf = RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
     if gf.expand(len(seq)) != list(seq):
         raise ValueError("denominator does not fit the sequence")
     return gf
@@ -457,12 +450,12 @@ def check_c6():
                 bad.append(n)
         out.append((f"chain-product series = oracle (p = {p}, n <= 8)",
                     not bad, str(bad) if bad else "ok"))
-    from .ratgen import psub
-
     for p in (2, 3, 5):
+        one_minus_zp = unipoly.sub(ZZ, [1], [0] * p + [1])
         printed = RationalGF.make(
-            psub([1], [0] * p + [1]),
-            psub(pmul([1, -1], [1, -1]), pmul([0, 1], psub([1], [0] * p + [1]))),
+            one_minus_zp,
+            unipoly.sub(ZZ, unipoly.mul(ZZ, [1, -1], [1, -1]),
+                        unipoly.mul(ZZ, [0, 1], one_minus_zp)),
         )
         ok = genfun_equal_as_series(traveling.h_genfun(p), printed)
         out.append((f"cleared chain GF equals the printed form (p = {p})", ok, "ok"))

@@ -200,16 +200,16 @@ class DigitAutomaton:
                                     max(terms, 0))
         return [sum(u * x for u, x in zip(out_vec, vec)) for vec in iterates]
 
-    def krylov_order(self, base_digit: int = 1) -> int:
+    def krylov_order(self) -> int:
         """Length D of the first linear dependence among the iterate vectors.
 
-        The start vector and its images under the base_digit matrix span a
+        The start vector and its images under the digit-1 matrix span a
         space of some dimension D <= state count; every scalar sequence read
         off these iterates then satisfies a linear recurrence of order D
         valid from the first term on.
         """
         pivots = {}  # pivot position -> reduced row (Fractions)
-        for m, vec in enumerate(self.walk(itertools.repeat(base_digit))):
+        for m, vec in enumerate(self.walk(itertools.repeat(1))):
             row = [Fraction(x) for x in vec]
             for pos in sorted(pivots):
                 if row[pos]:
@@ -256,7 +256,6 @@ def build_automaton(
     f: MultiPoly,
     state_cap: int = DEFAULT_STATE_CAP,
     seeds=(),
-    min_bounds=None,
     digits=None,
 ) -> DigitAutomaton:
     """Breadth-first closure of the section patterns reachable from 1 and seeds.
@@ -285,8 +284,6 @@ def build_automaton(
         raise AutomatonError(f"digits must lie in 0..{q - 1}")
     degs = f.var_degrees()
     bounds = [(q - 1) * d for d in degs]
-    if min_bounds is not None:
-        bounds = [max(b, m) for b, m in zip(bounds, min_bounds)]
     seeds = list(seeds)
     for g in seeds:
         if g.k != k or g.ring != field:
@@ -388,20 +385,3 @@ def build_automaton(
         i += 1
 
     return DigitAutomaton(field, f, box, states, transitions, initial)
-
-
-def count_via_automaton(
-    f: MultiPoly,
-    n: int,
-    alpha,
-    prefix: MultiPoly | None = None,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> int:
-    """One-shot count of coefficients of prefix * f^n equal to alpha.
-
-    Builds the automaton (enlarging the box and seeding the start pattern
-    when a prefix polynomial is supplied) and evaluates the digit product.
-    """
-    seeds = [prefix] if prefix is not None else []
-    automaton = build_automaton(f, state_cap=state_cap, seeds=seeds)
-    return automaton.count(n, alpha, prefix=prefix)

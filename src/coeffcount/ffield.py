@@ -44,14 +44,14 @@ class Field:
     used so that runs are reproducible.
     """
 
-    def __init__(self, p: int, r: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, r: int = 1, modulus=None):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if r < 1:
             raise FieldError("extension degree must be >= 1")
         q = p**r
-        if q > max_q:
-            raise FieldError(f"field size {q} exceeds the cap {max_q}")
+        if q > DEFAULT_MAX_Q:
+            raise FieldError(f"field size {q} exceeds the cap {DEFAULT_MAX_Q}")
         self.p = p
         self.r = r
         self.q = q
@@ -107,9 +107,6 @@ class Field:
         if not 0 <= value < self.q:
             raise FieldError(f"encoding {value} out of range for F_{self.q}")
         return FieldElem(self, value)
-
-    def elements(self):
-        return [FieldElem(self, v) for v in range(self.q)]
 
     # -- arithmetic on encodings ------------------------------------------
 
@@ -308,25 +305,6 @@ class FieldElem:
                 head = "" if c == 1 else f"{c}*"
                 parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
         return f"F{self.field.q}({'+'.join(parts)})"
-
-
-def field_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """Dispatch one arithmetic operation; mainly for the CLI surface."""
-    if not isinstance(a, FieldElem) or not isinstance(b, FieldElem):
-        raise FieldError("field_arith expects FieldElem operands")
-    if a.field != b.field:
-        raise FieldError("mismatched fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b.val
-    raise FieldError(f"unknown operation {op!r}")
 
 
 def find_irreducible(p: int, r: int):

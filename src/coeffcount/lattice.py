@@ -106,27 +106,27 @@ def _ballot_sum(caps, total: int, weight) -> int:
     return sum(ways * weight(n, total - s) for s, ways in enumerate(row))
 
 
-def draconian_sequences(n: int, cap: int = DEFAULT_ENUM_CAP):
+def draconian_sequences(n: int):
     """All k in N^n with k_1 + ... + k_i <= i and sum k = n, lexicographic.
 
     There are Catalan(n) of them.
     """
-    _check_enumerable(n, cap)
+    _check_enumerable(n)
     return _bounded_sequences(list(range(1, n + 1)), n)
 
 
 def draconian_count(n: int) -> int:
     """len(draconian_sequences(n)), which is Catalan(n), without listing the
     sequences; refuses the same n."""
-    _check_enumerable(n, DEFAULT_ENUM_CAP)
+    _check_enumerable(n)
     return catalan(n)
 
 
-def _check_enumerable(n: int, cap: int):
+def _check_enumerable(n: int):
     if n < 0:
         raise LatticeError("n must be nonnegative")
-    if n > cap:
-        raise LatticeError(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_ENUM_CAP:
+        raise LatticeError(f"n = {n} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
 
 
 def lpath_sequences(n: int, t: int):
@@ -291,14 +291,6 @@ def ps_points_formula(ts) -> int:
         raise LatticeError("t entries must be nonnegative")
     return _ballot_sum(range(1, n + 1), n,
                        lambda j, k: multichoose(ts[j - 1] + (j == n), k))
-
-
-def ps_lattice_points(ts, mode: str = "formula") -> int:
-    if mode == "formula":
-        return ps_points_formula(ts)
-    if mode == "direct":
-        return ps_points_direct(ts)
-    raise LatticeError(f"unknown mode {mode!r}")
 
 
 def ps_interior_transform(ms):

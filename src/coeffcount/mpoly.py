@@ -357,11 +357,6 @@ def from_dense(coeffs, ring) -> MultiPoly:
     return MultiPoly(1, ring, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def coeff_census(f: MultiPoly):
-    census = f.coeff_census()
-    return census, sum(census.values())
-
-
 # -- parsing -------------------------------------------------------------------
 #
 # Grammar: poly  := [sign] term ((+|-) term)*

@@ -1,9 +1,11 @@
 """Exact rational generating functions from integer sequences.
 
 Berlekamp-Massey over the rationals recovers the minimal linear
-recurrence; clearing denominators gives a numerator/denominator pair of
-integer polynomials whose series expansion reproduces the sequence.  All
-arithmetic is exact (ints and Fractions), never floating point.
+recurrence; its integer coefficients give the denominator, and the
+denominator times the leading terms gives the numerator.  Numerators and
+denominators are dense integer polynomials, added and multiplied by
+`unipoly.add/sub/mul` over `mpoly.ZZ`.  All arithmetic is exact (ints and
+Fractions), never floating point.
 """
 
 from __future__ import annotations
@@ -12,45 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import unipoly
+from .mpoly import ZZ
+
 
 class RecurrenceError(ValueError):
     pass
-
-
-# -- small dense integer-polynomial helpers (ascending coefficients) ----------
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def pneg(a):
-    return [-c for c in a]
-
-
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
-def pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _content(a):
@@ -130,38 +99,25 @@ class RationalGF:
 
     def __add__(self, other):
         return RationalGF.make(
-            padd(pmul(list(self.num), list(other.den)),
-                 pmul(list(other.num), list(self.den))),
-            pmul(list(self.den), list(other.den)),
+            unipoly.add(ZZ, unipoly.mul(ZZ, self.num, other.den),
+                        unipoly.mul(ZZ, other.num, self.den)),
+            unipoly.mul(ZZ, self.den, other.den),
         )
 
     def __mul__(self, other):
         return RationalGF.make(
-            pmul(list(self.num), list(other.num)),
-            pmul(list(self.den), list(other.den)),
+            unipoly.mul(ZZ, self.num, other.num),
+            unipoly.mul(ZZ, self.den, other.den),
         )
 
     def __repr__(self):
         return f"RationalGF(num={list(self.num)}, den={list(self.den)})"
 
 
-def genfun_expand(gf: RationalGF, terms: int):
-    return gf.expand(terms)
-
-
-def genfun_equal_as_series(a: RationalGF, b: RationalGF, terms: int | None = None):
-    """True iff a and b agree as power series.
-
-    Cross-multiplied numerators decide it exactly; a term count may be
-    passed for symmetry with the series view but does not change the
-    answer beyond the decisive degree.
-    """
-    lhs = pmul(list(a.num), list(b.den))
-    rhs = pmul(list(b.num), list(a.den))
-    if terms is not None:
-        lhs = lhs[:terms]
-        rhs = rhs[:terms]
-    return lhs == rhs
+def genfun_equal_as_series(a: RationalGF, b: RationalGF) -> bool:
+    """True iff a and b agree as power series, decided exactly by
+    comparing the cross-multiplied numerators."""
+    return unipoly.mul(ZZ, a.num, b.den) == unipoly.mul(ZZ, b.num, a.den)
 
 
 def _berlekamp_massey(seq):
@@ -233,45 +189,35 @@ def fit_recurrence(seq, max_order: int) -> LinearRecurrence:
 def seq_to_genfun(seq, rec: LinearRecurrence) -> RationalGF:
     """Generating function from a recurrence and the sequence it fits.
 
-    The denominator 1 - sum c_i t^i is cleared to integer coefficients; by
-    Fatou's lemma the minimal form of an integer series has constant term
-    1 again, which is asserted.
+    The denominator is 1 - sum c_i t^i and the numerator is den * seq
+    truncated to the recurrence order.  By Fatou's lemma the reduced form
+    of a rational integer series has an integer denominator with constant
+    term 1, so a recurrence with a non-integer coefficient is refused.
     """
     seq = list(seq)
-    d = rec.order
     if not rec.fits(seq):
         raise RecurrenceError("recurrence does not fit the sequence")
-    lcm = 1
     for c in rec.coeffs:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    den = [lcm]
-    for c in rec.coeffs:
-        c = Fraction(c) * lcm
-        den.append(-int(c))
-    num = []
-    for j in range(d):
-        val = 0
-        for i in range(j + 1):
-            if i < len(den) and j - i < len(seq):
-                val += den[i] * seq[j - i]
-        num.append(val)
-    return RationalGF.make(num, den)
+        if Fraction(c).denominator != 1:
+            raise RecurrenceError(f"recurrence coefficient {c} is not an integer")
+    den = [1] + [-int(c) for c in rec.coeffs]
+    head = seq[:rec.order]
+    return RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
 
 
-def fit_repunit_genfun(automaton, alpha, base_digit: int = 1, extra: int = 10):
+def fit_repunit_genfun(automaton, alpha):
     """Provably-correct generating function of an automaton's repunit counts.
 
     The iterate vectors of the digit matrix become linearly dependent at
     some length D (at most the state count); the scalar sequence then
     satisfies an order-D recurrence valid from the first term, so
-    Berlekamp-Massey on 2D+1 terms is certified minimal.  `extra` extra
-    terms are computed and re-verified on top.
+    Berlekamp-Massey on 2D+1 terms is certified minimal.  Ten more terms
+    are computed and re-verified on top.
     Returns (sequence, recurrence, generating function).
     """
-    D = automaton.krylov_order(base_digit)
-    terms = 2 * D + 1 + extra
-    seq = automaton.repunit_counts(alpha, terms, base_digit)
+    D = automaton.krylov_order()
+    terms = 2 * D + 11
+    seq = automaton.repunit_counts(alpha, terms)
     rec = fit_recurrence(seq, max_order=D)
     gf = seq_to_genfun(seq, rec)
     if gf.expand(terms) != seq:

@@ -6,7 +6,10 @@ powers prod (x_i + ... + x_{i+k})^m with their binomial transfer matrix,
 and several one-off families counted alongside a brute-force expansion.
 Every multivariate product here is a product of linear forms, expanded by
 `mpoly.linear_product` one factor at a time; the univariate `j_poly` keeps
-its own loop.
+its own loop.  The generating functions are `ratgen.RationalGF`s built
+with `unipoly.mul` over `mpoly.ZZ`: the window-power denominator is
+`theta_charpoly` reversed, and its numerator is that denominator times
+the first k counts, truncated to k terms.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from . import unipoly
 from .combinat import narayana
 from .ffield import Field
 from .mpoly import ZZ, MultiPoly, linear_product
-from .ratgen import RationalGF, pmul
+from .ratgen import RationalGF
 
 
 class TravelingError(ValueError):
@@ -111,7 +115,7 @@ def spaced_triple_count(n: int) -> int:
 
 
 def spaced_triple_genfun() -> RationalGF:
-    return RationalGF.make([1], pmul([1, 0, -1], [1, -3, 1]))
+    return RationalGF.make([1], unipoly.mul(ZZ, [1, 0, -1], [1, -3, 1]))
 
 
 def spaced_triple_poly(n: int) -> MultiPoly:
@@ -207,22 +211,13 @@ def theta_charpoly(k: int, m: int):
     return out
 
 
-def window_power_denominator(k: int, m: int):
-    """z-side denominator: sum_i (-1)^i C(1 + (k+1-i)m, i) z^i."""
-    out = []
-    for i in range(k + 2):
-        top = 1 + (k + 1 - i) * m
-        out.append((-1) ** i * comb(top, i) if top >= 0 else 0)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def window_power_genfun(k: int, m: int) -> RationalGF:
     """Generating function of N(prod_{i<=n} (x_i + ... + x_{i+k})^m).
 
-    The numerator comes from the first k column sums of powers of the
-    transfer matrix, which equal the small-n counts themselves.
+    The denominator is the transfer matrix's characteristic polynomial
+    read in reverse, sum_i (-1)^i C(1 + (k+1-i)m, i) z^i; the numerator
+    comes from the first k column sums of powers of the transfer matrix,
+    which equal the small-n counts themselves.
     """
     if k < 1 or m < 1:
         raise TravelingError("need k, m >= 1")
@@ -233,15 +228,8 @@ def window_power_genfun(k: int, m: int) -> RationalGF:
     for _ in range(k):
         phis.append(sum(col))
         col = [sum(A[i][j] * col[j] for j in range(size)) for i in range(size)]
-    den = window_power_denominator(k, m)
-    num = []
-    for nu in range(k):
-        val = 0
-        for i in range(nu + 1):
-            if i < len(den):
-                val += den[i] * phis[nu - i]
-        num.append(val)
-    return RationalGF.make(num, den)
+    den = theta_charpoly(k, m)[::-1]
+    return RationalGF.make(unipoly.mul(ZZ, den, phis)[:len(phis)], den)
 
 
 def window_power_poly(n: int, k: int, m: int) -> MultiPoly:

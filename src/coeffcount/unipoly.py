@@ -1,10 +1,15 @@
-"""Dense univariate polynomial arithmetic over a finite field.
+"""Dense univariate polynomial arithmetic.
 
-Polynomials are plain lists of integer-encoded field elements, constant
-term first, with no trailing zeros (the zero polynomial is []).  These
-helpers back modulus discovery, primitivity testing, and the squarefree /
-distinct-degree machinery; degrees stay small in all of those uses, so
-schoolbook algorithms are fine.
+Polynomials are plain lists of ring elements, constant term first, with
+no trailing zeros (the zero polynomial is []).  `add`, `sub` and `mul`
+need only the ring's add/sub/mul, so they serve any ring with that
+protocol: the finite fields (elements as integer encodings) and
+`mpoly.ZZ`, whose integer polynomials are the numerators and
+denominators of `ratgen.RationalGF`.  Everything else (division, gcd,
+derivatives, factoring) is for finite fields only and backs modulus
+discovery, primitivity testing, and the squarefree / distinct-degree
+machinery; degrees stay small in all of those uses, so schoolbook
+algorithms are fine.
 """
 
 from __future__ import annotations

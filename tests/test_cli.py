@@ -72,6 +72,10 @@ def test_genfun_command(capsys):
     assert data["numerator"] == ["1", "2"]
     assert data["denominator"] == ["1", "-2", "-4"]
 
+    code, out, err = run_cli(capsys, "genfun", "--seq=-1,-2,0,-2,1")
+    assert code == 1 and out == ""
+    assert err == "error: recurrence coefficient -1/2 is not an integer\n"
+
 
 def test_oracle_command_pass_and_fail_line(capsys):
     code, out, err = run_cli(

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from coeffcount.ffield import (
     Field,
     FieldError,
-    field_arith,
     find_irreducible,
     is_primitive,
 )
@@ -26,16 +25,17 @@ def test_basic_arithmetic():
     assert (x * x).coeffs == (1, 1)
 
 
-def test_field_arith_dispatch():
+def test_field_elem_operators():
     a, b = F3.elem(2), F3.elem(2)
-    assert field_arith(a, b, "add").val == 1
-    assert field_arith(a, b, "mul").val == 1
-    assert field_arith(a, b, "div").val == 1
-    assert field_arith(a, F3.elem(0), "sub").val == 2
+    assert (a + b).val == 1
+    assert (a * b).val == 1
+    assert (a / b).val == 1
+    assert (a - F3.elem(0)).val == 2
+    assert (a ** 2).val == 1
     with pytest.raises(ZeroDivisionError):
-        field_arith(a, F3.elem(0), "div")
+        a / F3.elem(0)
     with pytest.raises(FieldError):
-        field_arith(a, F2.elem(1), "add")
+        a + F2.elem(1)
 
 
 def test_division_inverts():

@@ -25,7 +25,6 @@ from coeffcount.lattice import (
     path_count_under_boundary,
     ps_interior_direct,
     ps_interior_transform,
-    ps_lattice_points,
     ps_points_direct,
     ps_points_formula,
     ratio_matrix,
@@ -109,8 +108,7 @@ def test_catalan_inversion():
 def test_ps_points():
     assert ps_points_direct([1, 1, 1]) == 14 == ps_points_formula([1, 1, 1])
     assert ps_points_direct([0, 0, 0]) == 1
-    assert ps_lattice_points([2, 1], mode="direct") == 7
-    assert ps_lattice_points([2, 1], mode="formula") == 7
+    assert ps_points_direct([2, 1]) == 7 == ps_points_formula([2, 1])
     for n in range(1, 5):
         for ts in itertools.product(range(3), repeat=n):
             assert ps_points_direct(ts) == ps_points_formula(ts), ts

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,6 @@ from coeffcount.ratgen import (
     fit_recurrence,
     fit_repunit_genfun,
     genfun_equal_as_series,
-    genfun_expand,
     seq_to_genfun,
 )
 
@@ -24,7 +25,7 @@ def test_fibonacci_fit():
     assert rec.coeffs == (1, 1)
     gf = seq_to_genfun(seq, rec)
     assert gf == RationalGF.make([0, 1], [1, -1, -1])
-    assert genfun_expand(gf, 12) == seq + [34, 55, 89]
+    assert gf.expand(12) == seq + [34, 55, 89]
 
 
 def test_constant_and_alternating():
@@ -86,13 +87,32 @@ def test_make_normalizes():
         RationalGF.make([1], [2, 1])  # constant term not +-1 after reduction
 
 
-def test_gf_arithmetic():
-    third = RationalGF.make([1], [1, -1])
-    geom2 = RationalGF.make([1], [1, -2])
-    s = third + geom2
-    assert s.expand(4) == [2, 3, 5, 9]
-    p = third * geom2
-    assert p.expand(4) == [1, 3, 7, 15]
+small_gfs = st.builds(
+    RationalGF.make,
+    st.lists(st.integers(-4, 4), max_size=4),
+    st.lists(st.integers(-4, 4), max_size=3).map(lambda tail: [1] + tail),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_gfs, small_gfs)
+def test_gf_arithmetic(a, b):
+    # the sum expands termwise, the product as the Cauchy product
+    N = 12
+    x, y = a.expand(N), b.expand(N)
+    assert (a + b).expand(N) == [u + v for u, v in zip(x, y)]
+    assert (a * b).expand(N) == [sum(x[i] * y[n - i] for i in range(n + 1))
+                                 for n in range(N)]
+
+
+def test_fractional_recurrence_refused():
+    # the minimal recurrence of this integer sequence has coefficient -1/2,
+    # so no integer generating function with den[0] = 1 comes out of it
+    seq = [-1, -2, 0, -2, 1]
+    rec = fit_recurrence(seq, 2)
+    assert rec.coeffs == (Fraction(-1, 2), 1)
+    with pytest.raises(RecurrenceError, match="-1/2 is not an integer"):
+        seq_to_genfun(seq, rec)
 
 
 @settings(max_examples=25, deadline=None)
