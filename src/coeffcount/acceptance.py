@@ -754,7 +754,7 @@ def check_c9():
         base = A.count(n, alpha)
         for vec in A.walk(base_digits(n, A.field.q) + [0] * zeros):
             pass
-        padded = sum(u * x for u, x in zip(A.output_vector(alpha), vec))
+        padded = A.read_counts(alpha, [vec])[0]
         if padded != base:
             bad.append((name, n, zeros))
     out.append(("leading zero digits never change the count (50 random cases)",

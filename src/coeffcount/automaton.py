@@ -7,11 +7,13 @@ are "section patterns": functions from a fixed box S of exponent vectors
 to F_q, obtained by slicing a polynomial's coefficients along residue
 classes of exponents.  Only patterns actually reachable from the seed
 polynomials are materialized, which keeps the matrices small even when
-the full pattern space q^|S| is astronomical.
+the full pattern space q^|S| is astronomical.  A (state, digit) column
+is made when a digit walk first needs it and `close()` makes the rest, so
+q-power counts (see qpow) make only the columns their walk touches.
 
 Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
 counts and censuses its last vector; repunit counts, the Krylov order and
-q-power sequences (see qpow) the iterates of a repeated digit.
+q-power sequences the iterates of a repeated digit.
 
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
@@ -66,31 +68,157 @@ class SectionBox:
 
 
 class DigitAutomaton:
-    """Reachable-state digit automaton for one polynomial over one field.
+    """Section-pattern digit automaton for one polynomial over one field.
+
+    Construction knows only the patterns of 1 and of the seeds.  A walk
+    makes the column of a (state, digit) pair the first time it needs it,
+    and the patterns the column leads to become new states; `close()` makes
+    every remaining column, breadth first, so a closed automaton has every
+    state reachable from 1 and the seeds.
+
+    For a known pattern G and digit a, the polynomial f^a * (the polynomial
+    with G's coefficients) is expanded and its exponents split as
+    gamma + q*delta with gamma in {0..q-1}^k; each gamma slice is a child
+    pattern.  Box bounds (q-1)*deg_i(f) guarantee the slices never escape
+    the box, so the closure is finite.
 
     Attributes:
         field, f: the coefficient field and base polynomial.
         box: the SectionBox the patterns live on.
-        states: list of patterns (bytes over box points).
-        transitions: per digit a, a list over source states of sparse
-            columns [(child_state, multiplicity), ...]; every column's
-            multiplicities sum to q^k.  The list is empty for a digit the
-            closure was not asked to build.
+        states: the patterns discovered so far, bytes over box points.
+        transitions: per digit a, a list over states of sparse columns
+            [(child_state, multiplicity), ...] summing to q^k, or None
+            where the column is not made yet.
         initial: index of the pattern of the constant polynomial 1.
     """
 
-    def __init__(self, field, f, box, states, transitions, initial):
+    def __init__(self, f: MultiPoly, state_cap: int = DEFAULT_STATE_CAP, seeds=()):
+        field = f.ring
+        if not isinstance(field, Field):
+            raise AutomatonError("automaton needs a finite-field polynomial")
+        if field.q > _TABLE_LIMIT:
+            raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
+        if f.is_zero():
+            raise AutomatonError("automaton needs a nonzero polynomial")
+        q = field.q
+        k = f.k
+        degs = f.var_degrees()
+        bounds = [(q - 1) * d for d in degs]
+        seeds = list(seeds)
+        for g in seeds:
+            if g.k != k or g.ring != field:
+                raise AutomatonError("seed polynomial does not match f")
+            if not g.is_zero():
+                bounds = [max(b, d) for b, d in zip(bounds, g.var_degrees())]
         self.field = field
         self.f = f
-        self.box = box
-        self.states = states
-        self.transitions = transitions
-        self.initial = initial
-        self._state_index = {pat: i for i, pat in enumerate(states)}
+        self.box = SectionBox(bounds)
+        self._state_cap = state_cap
+        self.states: list[bytes] = []
+        self.transitions = [[] for _ in range(q)]
+        self._state_index: dict[bytes, int] = {}
+        self._missing = 0  # (state, digit) columns not made yet
+
+        # exponent vectors of products f^a * G packed into single ints
+        self._packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
+        self._box_packed = [self._packer.pack(pt) for pt in self.box.points]
+        self._delta_index = {key: i for i, key in enumerate(self._box_packed)}
+        f_pows = [MultiPoly.one(k, field)]
+        for _ in range(q - 1):
+            f_pows.append(f_pows[-1] * f)
+        self._f_pows_packed = [self._packer.pack_terms(g) for g in f_pows]
+        self._split_cache: dict[int, tuple[int, int]] = {}
+
+        self.initial = self._intern(self.pattern_of(MultiPoly.one(k, field)))
+        for g in seeds:
+            self._intern(self.pattern_of(g))
 
     @property
     def state_count(self) -> int:
+        """The number of states discovered so far (all of them once closed)."""
         return len(self.states)
+
+    # -- construction --------------------------------------------------------
+
+    def _intern(self, pat: bytes) -> int:
+        idx = self._state_index.get(pat)
+        if idx is None:
+            idx = len(self.states)
+            if idx >= self._state_cap:
+                raise StateCapError(f"state cap {self._state_cap} exceeded")
+            self._state_index[pat] = idx
+            self.states.append(pat)
+            for cols in self.transitions:
+                cols.append(None)
+            self._missing += len(self.transitions)
+        return idx
+
+    def _split(self, key: int):
+        """(rank of gamma, box index of delta) for a packed exponent gamma + q*delta."""
+        q = self.field.q
+        exp = self._packer.unpack(key)
+        gamma_rank = 0
+        for e in exp:
+            gamma_rank = gamma_rank * q + e % q
+        point = self._delta_index.get(self._packer.pack([e // q for e in exp]))
+        if point is None:
+            raise AutomatonError("internal error: slice escaped the box")
+        self._split_cache[key] = (gamma_rank, point)
+        return gamma_rank, point
+
+    def _make_columns(self, src: int, digits) -> None:
+        """Make state src's columns for the given digits, interning their children."""
+        G = self.states[src]
+        npoints = len(G)
+        box_packed = self._box_packed
+        support = [(box_packed[j], g) for j, g in enumerate(G) if g]
+        add_table = self.field._add
+        mul_table = self.field._mul
+        split_get = self._split_cache.get
+        index_get = self._state_index.get
+        gamma_count = self.field.q**self.f.k
+        for a in digits:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for fe, fc in self._f_pows_packed[a]:
+                row = mul_table[fc]
+                for base, gval in support:
+                    key = base + fe
+                    v = row[gval]
+                    prev = get(key)
+                    acc[key] = v if prev is None else add_table[prev][v]
+            children: dict[int, bytearray] = {}
+            for key, v in acc.items():
+                if v:
+                    grank, didx = split_get(key) or self._split(key)
+                    arr = children.get(grank)
+                    if arr is None:
+                        arr = bytearray(npoints)
+                        children[grank] = arr
+                    arr[didx] = v
+            column: dict[int, int] = {}
+            for arr in children.values():
+                pat = bytes(arr)
+                idx = index_get(pat)
+                if idx is None:
+                    idx = self._intern(pat)
+                column[idx] = column.get(idx, 0) + 1
+            rest = gamma_count - len(children)
+            if rest:
+                zidx = self._intern(bytes(npoints))
+                column[zidx] = column.get(zidx, 0) + rest
+            self.transitions[a][src] = sorted(column.items())
+            self._missing -= 1
+
+    def close(self) -> DigitAutomaton:
+        """Make every missing column, breadth first in state order; returns self."""
+        src = 0
+        while self._missing:
+            digits = [a for a, cols in enumerate(self.transitions) if cols[src] is None]
+            if digits:
+                self._make_columns(src, digits)
+            src += 1
+        return self
 
     # -- vectors ---------------------------------------------------------
 
@@ -108,10 +236,15 @@ class DigitAutomaton:
             )
         return alpha
 
-    def output_vector(self, alpha):
-        """Per state, the number of box points whose pattern value is alpha."""
+    def read_counts(self, alpha, vecs):
+        """For each state vector, the number of coefficients equal to alpha.
+
+        The output vector covers only the states known now, so every vector
+        must be made before the call.
+        """
         a = self._alpha_encoding(alpha)
-        return [pat.count(a) for pat in self.states]
+        out = [pat.count(a) for pat in self.states]
+        return [sum(u * x for u, x in zip(out, vec)) for vec in vecs]
 
     def start_vector(self, prefix: MultiPoly | None = None):
         vec = [0] * len(self.states)
@@ -143,9 +276,11 @@ class DigitAutomaton:
     # -- evaluation ---------------------------------------------------------
 
     def apply_digit(self, digit: int, vec):
+        """The state vector after one digit; makes the columns its support lacks."""
         cols = self.transitions[digit]
-        if not cols:
-            raise AutomatonError(f"transitions for digit {digit} were not built")
+        if self._missing:
+            for src in [src for src, x in enumerate(vec) if x and cols[src] is None]:
+                self._make_columns(src, (digit,))
         out = [0] * len(self.states)
         for src, x in enumerate(vec):
             if x:
@@ -167,38 +302,24 @@ class DigitAutomaton:
             yield vec
 
     def _end_vector(self, n: int, prefix: MultiPoly | None):
-        digits = base_digits(n, self.field.q)
-        for vec in self.walk(digits, self.start_vector(prefix)):
+        for vec in self.walk(base_digits(n, self.field.q), self.start_vector(prefix)):
             pass
         return vec
 
     def count(self, n: int, alpha, prefix: MultiPoly | None = None) -> int:
         """Exact number of coefficients of prefix * f^n equal to alpha."""
-        vec = self._end_vector(n, prefix)
-        return sum(u * x for u, x in zip(self.output_vector(alpha), vec))
+        return self.read_counts(alpha, [self._end_vector(n, prefix)])[0]
 
     def census(self, n: int, prefix: MultiPoly | None = None):
         """Each nonzero coefficient value of prefix * f^n and its multiplicity."""
-        vec = self._end_vector(n, prefix)
-        census = {}
-        for alpha in range(1, self.field.q):
-            count = sum(u * x for u, x in zip(self.output_vector(alpha), vec))
-            if count:
-                census[alpha] = count
-        return census
+        vecs = [self._end_vector(n, prefix)]
+        census = {a: self.read_counts(a, vecs)[0] for a in range(1, self.field.q)}
+        return {a: count for a, count in census.items() if count}
 
-    def repunit_counts(self, alpha, terms: int, base_digit: int = 1):
-        """Counts for exponents 1 + q + ... + q^(m-1), m = 0 .. terms-1.
-
-        With base_digit = b this is the sequence for exponents with m
-        identical base-q digits b.
-        """
-        if not 1 <= base_digit < self.field.q:
-            raise ValueError("base digit must be in 1..q-1")
-        out_vec = self.output_vector(alpha)
-        iterates = itertools.islice(self.walk(itertools.repeat(base_digit)),
-                                    max(terms, 0))
-        return [sum(u * x for u, x in zip(out_vec, vec)) for vec in iterates]
+    def repunit_counts(self, alpha, terms: int):
+        """Counts for exponents 1 + q + ... + q^(m-1), m = 0 .. terms-1."""
+        iterates = itertools.islice(self.walk(itertools.repeat(1)), max(terms, 0))
+        return self.read_counts(alpha, list(iterates))
 
     def krylov_order(self) -> int:
         """Length D of the first linear dependence among the iterate vectors.
@@ -208,6 +329,7 @@ class DigitAutomaton:
         off these iterates then satisfies a linear recurrence of order D
         valid from the first term on.
         """
+        self.close()
         pivots = {}  # pivot position -> reduced row (Fractions)
         for m, vec in enumerate(self.walk(itertools.repeat(1))):
             row = [Fraction(x) for x in vec]
@@ -227,15 +349,13 @@ class DigitAutomaton:
 
     def column_sum_violations(self):
         """Columns whose multiplicities do not sum to q^k (should be none)."""
+        self.close()
         expected = self.field.q**self.f.k
-        bad = []
-        for a, cols in enumerate(self.transitions):
-            for src, col in enumerate(cols):
-                if sum(m for _, m in col) != expected:
-                    bad.append((a, src))
-        return bad
+        return [(a, src) for a, cols in enumerate(self.transitions)
+                for src, col in enumerate(cols) if sum(m for _, m in col) != expected]
 
     def to_json_dict(self):
+        self.close()
         return {
             "field": {"p": self.field.p, "r": self.field.r,
                       "modulus": list(self.field.modulus)},
@@ -256,132 +376,10 @@ def build_automaton(
     f: MultiPoly,
     state_cap: int = DEFAULT_STATE_CAP,
     seeds=(),
-    digits=None,
 ) -> DigitAutomaton:
-    """Breadth-first closure of the section patterns reachable from 1 and seeds.
+    """The closed automaton of f: every pattern reachable from 1 and the seeds.
 
-    For a known pattern G and digit a, the polynomial f^a * (the polynomial
-    with G's coefficients) is expanded and its exponents split as
-    gamma + q*delta with gamma in {0..q-1}^k; each gamma slice is a child
-    pattern.  Box bounds (q-1)*deg_i(f) guarantee the slices never escape
-    the box, so the closure is finite.
-
-    With digits given, only those digits get transitions, and only the
-    patterns they reach become states: enough to count f^n for every n
-    whose base-q digits all lie in the set.
+    States are numbered in breadth-first order from 1 and the seeds, each
+    state's digits in order 0..q-1.
     """
-    field = f.ring
-    if not isinstance(field, Field):
-        raise AutomatonError("automaton needs a finite-field polynomial")
-    if field.q > _TABLE_LIMIT:
-        raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
-    if f.is_zero():
-        raise AutomatonError("automaton needs a nonzero polynomial")
-    q = field.q
-    k = f.k
-    built = range(q) if digits is None else sorted(set(digits))
-    if any(not 0 <= a < q for a in built):
-        raise AutomatonError(f"digits must lie in 0..{q - 1}")
-    degs = f.var_degrees()
-    bounds = [(q - 1) * d for d in degs]
-    seeds = list(seeds)
-    for g in seeds:
-        if g.k != k or g.ring != field:
-            raise AutomatonError("seed polynomial does not match f")
-        if not g.is_zero():
-            bounds = [max(b, d) for b, d in zip(bounds, g.var_degrees())]
-    box = SectionBox(bounds)
-    npoints = len(box)
-
-    # pack exponent vectors of products f^a * G into single ints
-    packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
-    pack = packer.pack
-    box_packed = [pack(pt) for pt in box.points]
-
-    f_pows = [MultiPoly.one(k, field)]
-    for _ in range(q - 1):
-        f_pows.append(f_pows[-1] * f)
-    f_pows_packed = [packer.pack_terms(g) for g in f_pows]
-
-    split_cache: dict[int, tuple[int, int]] = {}
-
-    def split(key: int):
-        got = split_cache.get(key)
-        if got is not None:
-            return got
-        exp = packer.unpack(key)
-        gamma_rank = 0
-        for e in exp:
-            gamma_rank = gamma_rank * q + e % q
-        point = delta_idx.get(pack([e // q for e in exp]))
-        if point is None:
-            raise AutomatonError("internal error: slice escaped the box")
-        split_cache[key] = (gamma_rank, point)
-        return gamma_rank, point
-
-    delta_idx = {key: i for i, key in enumerate(box_packed)}
-    gamma_count = q**k
-
-    states: list[bytes] = []
-    state_index: dict[bytes, int] = {}
-
-    def intern(pat: bytes) -> int:
-        idx = state_index.get(pat)
-        if idx is None:
-            idx = len(states)
-            if idx >= state_cap:
-                raise StateCapError(f"state cap {state_cap} exceeded")
-            state_index[pat] = idx
-            states.append(pat)
-        return idx
-
-    def pattern_of(poly: MultiPoly) -> bytes:
-        arr = bytearray(npoints)
-        for exp, c in poly.terms.items():
-            arr[box.index[exp]] = c
-        return bytes(arr)
-
-    initial = intern(pattern_of(MultiPoly.one(k, field)))
-    for g in seeds:
-        intern(pattern_of(g))
-    zero_pattern = bytes(npoints)
-
-    transitions = [[] for _ in range(q)]
-    add_table = field._add
-    mul_table = field._mul
-
-    i = 0
-    while i < len(states):
-        G = states[i]
-        support = [(box_packed[j], G[j]) for j in range(npoints) if G[j]]
-        for a in built:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for fe, fc in f_pows_packed[a]:
-                row = mul_table[fc]
-                for base, gval in support:
-                    key = base + fe
-                    v = row[gval]
-                    prev = get(key)
-                    acc[key] = v if prev is None else add_table[prev][v]
-            children: dict[int, bytearray] = {}
-            for key, v in acc.items():
-                if v:
-                    grank, didx = split(key)
-                    arr = children.get(grank)
-                    if arr is None:
-                        arr = bytearray(npoints)
-                        children[grank] = arr
-                    arr[didx] = v
-            column: dict[int, int] = {}
-            for arr in children.values():
-                idx = intern(bytes(arr))
-                column[idx] = column.get(idx, 0) + 1
-            rest = gamma_count - len(children)
-            if rest:
-                zidx = intern(zero_pattern)
-                column[zidx] = column.get(zidx, 0) + rest
-            transitions[a].append(sorted(column.items()))
-        i += 1
-
-    return DigitAutomaton(field, f, box, states, transitions, initial)
+    return DigitAutomaton(f, state_cap, seeds).close()

@@ -89,7 +89,7 @@ def cmd_automaton(args) -> int:
 def cmd_genfun(args) -> int:
     if args.seq:
         seq = [int(v) for v in args.seq.split(",")]
-        max_order = args.max_order if args.max_order else (len(seq) - 1) // 2
+        max_order = (len(seq) - 1) // 2 if args.max_order is None else args.max_order
         rec = fit_recurrence(seq, max_order)
         gf = seq_to_genfun(seq, rec)
     elif args.from_automaton:
@@ -148,7 +148,8 @@ def cmd_closed_form(args) -> int:
         emit({"runs": closed_forms.run_lengths(args.n),
               "count": _json_int(closed_forms.trinomial_odd_count(args.n))})
     elif kind == "family22":
-        emit({"count": _json_int(closed_forms.family_count(args.m or 2, args.n))})
+        m = 2 if args.m is None else args.m
+        emit({"count": _json_int(closed_forms.family_count(m, args.n))})
     else:
         raise ValueError(f"unknown closed form {kind!r}")
     return 0
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", help="fit a rational generating function")
     p.add_argument("--seq", help="comma-separated integers")
-    p.add_argument("--max-order", type=int, default=0)
+    p.add_argument("--max-order", type=int)
     p.add_argument("--from-automaton", help="polynomial text")
     p.add_argument("--field", default="2")
     p.add_argument("--k", type=int, default=1)

@@ -7,10 +7,11 @@ of the splitting field of g, valid once m >= ceil(log_q(mu * c)) for mu
 the largest multiplicity of an irreducible factor.  This module measures
 d and mu by factorization machinery, counts the coefficients through the
 digit automaton of g (a product of integer matrices along the base-q
-digits of the exponent, built only for the digits that occur), and
-solves for the periodic tables u, v over exact rationals.  The exponents
-q^m - c for consecutive m share their low digits and differ only by more
-digits q-1, so one walk of the automaton yields a whole run N(m_lo..m_hi).
+digits of the exponent, whose columns are made only where the walk
+needs them), and solves for the periodic tables u, v over exact
+rationals.  The exponents q^m - c for consecutive m share their low
+digits and differ only by more digits q-1, so one walk of the automaton
+yields a whole run N(m_lo..m_hi).
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
         return []
     low = automaton.base_digits(n, field.q)
     digits = low + [0] * (m_lo - len(low)) + [field.q - 1] * (m_hi - m_lo)
-    counter = automaton.build_automaton(from_dense(g, field), digits=digits)
-    out = counter.output_vector(alpha_val)
-    return [sum(u * x for u, x in zip(out, vec))
-            for vec in itertools.islice(counter.walk(digits), m_lo, None)]
+    counter = automaton.DigitAutomaton(from_dense(g, field))
+    iterates = list(itertools.islice(counter.walk(digits), m_lo, None))
+    return counter.read_counts(alpha_val, iterates)
 
 
 def count_qpow(g, field: Field, c: int, alpha, m: int):
@@ -114,9 +114,8 @@ def power_census(g, field: Field, n: int):
     """Census of g^n: each nonzero coefficient value and its multiplicity."""
     if n < 0:
         raise QPowError("n must be nonnegative")
-    digits = automaton.base_digits(n, field.q)
     g = from_dense(_as_dense(g, field), field)
-    return automaton.build_automaton(g, digits=digits).census(n)
+    return automaton.DigitAutomaton(g).census(n)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coeffcount.automaton import (
     AutomatonError,
+    DigitAutomaton,
     StateCapError,
     base_digits,
     build_automaton,
@@ -87,7 +88,7 @@ def test_repunit_base_digit():
     f = parse_poly("2+x+x^2", 1, F3)
     A = build_automaton(f)
     for base_digit in (1, 2):
-        seq = A.repunit_counts(1, 5, base_digit)
+        seq = A.read_counts(1, list(A.walk([base_digit] * 4)))
         for m in range(5):
             n = base_digit * (3**m - 1) // 2
             assert seq[m] == A.count(n, 1) == brute_power_census(f, n, 1)
@@ -152,21 +153,57 @@ def test_prefix_needs_seed():
         A.count(3, 1, prefix=g)
 
 
-def test_digit_subset():
-    f = parse_poly("2+x+x^2", 1, F3)
-    full = build_automaton(f)
-    part = build_automaton(f, digits=[2])
-    assert part.state_count < full.state_count
-    assert not part.column_sum_violations()
-    for n in (0, 2, 8, 3**20 - 1):
-        for alpha in (1, 2):
-            assert part.count(n, alpha) == full.count(n, alpha)
-    with pytest.raises(AutomatonError):
-        part.apply_digit(1, part.start_vector())
-    with pytest.raises(AutomatonError):
-        part.count(5, 1)  # 5 is 12 in base 3
-    with pytest.raises(AutomatonError):
-        build_automaton(f, digits=[3])
+UNCLOSED_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5)}
+UNCLOSED_STATE_CAP = 400
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(UNCLOSED_FIELDS)),
+    k=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_unclosed_automaton_matches_closed(q, k, data):
+    # columns made on demand give the closed automaton's counts, whatever
+    # order the walks discover the states in
+    field = UNCLOSED_FIELDS[q]
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
+        min_size=1, max_size=3, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    try:
+        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP)
+    except StateCapError:
+        assume(False)
+    digits = st.lists(st.integers(min_value=0, max_value=q - 1), max_size=5)
+    early_digits = data.draw(digits)
+    prefix = data.draw(digits)
+    repeated = [data.draw(st.integers(min_value=1, max_value=q - 1))] * 4
+    n = data.draw(st.integers(min_value=0, max_value=q**5))
+    alpha = data.draw(st.integers(min_value=1, max_value=q - 1))
+
+    lazy = DigitAutomaton(f)
+    assert lazy.state_count == 1  # only the pattern of 1
+    # vectors made before the walks below discover more states
+    early = list(lazy.walk(early_digits))
+    assert lazy.count(n, alpha) == closed.count(n, alpha)
+    assert lazy.census(n) == closed.census(n)
+    assert lazy.repunit_counts(alpha, 5) == closed.repunit_counts(alpha, 5)
+    walked = prefix + repeated
+    assert (lazy.read_counts(alpha, list(lazy.walk(walked)))
+            == closed.read_counts(alpha, list(closed.walk(walked))))
+    assert (lazy.read_counts(alpha, early)
+            == closed.read_counts(alpha, list(closed.walk(early_digits))))
+    assert lazy.state_count <= closed.state_count
+
+    assert lazy.close() is lazy
+    assert lazy.state_count == closed.state_count
+    assert set(lazy.states) == set(closed.states)
+    assert not lazy.column_sum_violations()
+    assert lazy.census(n) == closed.census(n)
+    assert lazy.repunit_counts(alpha, 5) == closed.repunit_counts(alpha, 5)
 
 
 def test_state_cap():
@@ -189,8 +226,7 @@ def test_column_sums_and_leading_zeros():
                 nn //= q
             for _ in range(4):
                 vec = A.apply_digit(0, vec)
-            out = A.output_vector(1)
-            assert sum(u * x for u, x in zip(out, vec)) == base
+            assert A.read_counts(1, [vec]) == [base]
 
 
 def test_count_conservation_univariate():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,34 @@ def test_verify_minimal(capsys):
     data = json.loads(out)
     assert data["ok"] is True and data["failed"] == 0
     assert err.count("PASS") == data["passed"]
+
+
+def test_zero_values_are_not_replaced_by_defaults(capsys):
+    code, out, err = run_cli(capsys, "closed-form", "family22", "--n", "3",
+                             "--m", "0")
+    assert (code, out) == (1, "") and "need k >= 1 and n >= 0" in err
+    code, out, err = run_cli(capsys, "genfun", "--seq", "1,3,8,21,55,144,377",
+                             "--max-order", "0")
+    assert (code, out) == (1, "") and "no recurrence of order <= 0 fits" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("automaton_f2_k2_rep6_dump",
+     "automaton --field 2 --poly 1+x1+x2+x2^2 --k 2 --n rep:6 --dump-states"),
+    ("automaton_f3_n100_alpha2_dump",
+     "automaton --field 3 --poly 2+x+x^2 --n 100 --alpha 2 --dump-states"),
+    ("genfun_from_automaton_f2_k2",
+     "genfun --from-automaton 1+x1+x2+x2^2 --k 2 --field 2"),
+    ("qpow_f2_quintic_verify10", "qpow --field 2 --g 1+x^2+x^5 --verify-upto 10"),
+])
+def test_golden_stdout(capsys, name, argv):
+    # the state order of a closed automaton and the q-power read-off, byte for byte
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_deterministic_output(capsys):
