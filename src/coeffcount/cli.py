@@ -112,7 +112,7 @@ def cmd_genfun(args) -> int:
 def cmd_qpow(args) -> int:
     field = parse_field(args.field)
     g = dense_coeffs(parse_poly(args.g, 1, field))
-    prof = qpow.fit_qpow_profile(g, field, args.c, args.alpha)
+    prof = qpow.fit_qpow_profile(g, field, args.c, args.alpha, args.state_cap)
     out = {
         "d": prof.d,
         "mu": prof.mu,
@@ -122,7 +122,7 @@ def cmd_qpow(args) -> int:
     }
     if args.verify_upto is not None:
         counts = qpow.qpow_counts(g, field, args.c, args.alpha, prof.l,
-                                  args.verify_upto)
+                                  args.verify_upto, args.state_cap)
         out["verified"] = {
             str(m): {"count": _json_int(actual), "matches": prof.predict(m) == actual}
             for m, actual in enumerate(counts, prof.l)

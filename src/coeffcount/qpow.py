@@ -86,11 +86,13 @@ def _alpha_val(field: Field, alpha) -> int:
     return val
 
 
-def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
+def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int,
+                state_cap: int = automaton.DEFAULT_STATE_CAP):
     """Exact N_alpha(m) for m = m_lo .. m_hi (empty when m_hi < m_lo).
 
     q^m - c = (q^m_lo - c) + (q-1)(q^m_lo + ... + q^(m-1)): one walk over the
     digits of q^m_lo - c, zero-padded to m_lo digits, then q-1 repeated.
+    The walk may discover at most state_cap automaton states.
     """
     g = _as_dense(g, field)
     _check_g(g)
@@ -100,7 +102,7 @@ def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
         return []
     low = automaton.base_digits(n, field.q)
     digits = low + [0] * (m_lo - len(low)) + [field.q - 1] * (m_hi - m_lo)
-    counter = automaton.DigitAutomaton(from_dense(g, field))
+    counter = automaton.DigitAutomaton(from_dense(g, field), state_cap)
     iterates = list(itertools.islice(counter.walk(digits), m_lo, None))
     return counter.read_counts(alpha_val, iterates)
 
@@ -141,13 +143,14 @@ class QPowProfile:
         return int(val)
 
 
-def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
+def fit_qpow_profile(g, field: Field, c: int, alpha,
+                     state_cap: int = automaton.DEFAULT_STATE_CAP) -> QPowProfile:
     """Measure d, mu, l and solve for the periodic tables u, v.
 
     For each residue class r mod d the two smallest admissible m fix u(r)
     and v(r) by a 2x2 linear solve over exact rationals; a third value in
     the class is then verified, so an inconsistent fit cannot escape.  One
-    automaton counts all 3d exponents.
+    automaton, with at most state_cap states, counts all 3d exponents.
     """
     g = _as_dense(g, field)
     _check_g(g)
@@ -159,7 +162,7 @@ def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
         l += 1
     q = field.q
     # the classes' first three admissible m are exactly l .. l + 3d - 1
-    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1)
+    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1, state_cap)
     u = [Fraction(0)] * d
     v = [Fraction(0)] * d
     for residue in range(d):

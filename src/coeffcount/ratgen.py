@@ -1,11 +1,15 @@
 """Exact rational generating functions from integer sequences.
 
-Berlekamp-Massey over the rationals recovers the minimal linear
-recurrence; its integer coefficients give the denominator, and the
-denominator times the leading terms gives the numerator.  Numerators and
-denominators are dense integer polynomials, added and multiplied by
-`unipoly.add/sub/mul` over `mpoly.ZZ`.  All arithmetic is exact (ints and
-Fractions), never floating point.
+Berlekamp-Massey recovers the minimal linear recurrence; its integer
+coefficients give the denominator, and the denominator times the leading
+terms gives the numerator.  A sequence given on its own (`fit_recurrence`)
+is fitted over the rationals.  An automaton's repunit counts
+(`fit_repunit_genfun`) come with an order bound D from the Krylov order,
+so they are fitted modulo 61-bit primes and the lifted recurrence is
+certified by an exact integer fit on 2D + 11 terms (see modular).
+Numerators and denominators are dense integer polynomials, added and
+multiplied by `unipoly.add/sub/mul` over `mpoly.ZZ`.  All arithmetic is
+exact (ints, Fractions and residues), never floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import unipoly
+from . import modular, unipoly
 from .mpoly import ZZ
 
 
@@ -120,56 +124,64 @@ def genfun_equal_as_series(a: RationalGF, b: RationalGF) -> bool:
     return unipoly.mul(ZZ, a.num, b.den) == unipoly.mul(ZZ, b.num, a.den)
 
 
-def _berlekamp_massey(seq):
-    """Minimal connection polynomial over Q: returns (L, C) with C[0] = 1.
+def _berlekamp_massey(seq, p=None):
+    """Minimal connection polynomial over Q, or over F_p for a prime p.
 
-    The recurrence is a_n = -sum_{i=1..L} C[i] a_{n-i}, valid for every
-    index of the supplied sequence.
+    Returns (L, C) with C[0] = 1: the recurrence
+    a_n = -sum_{i=1..L} C[i] a_{n-i} holds at every index of seq.  Over F_p
+    the terms are reduced mod p and C is returned in [0, p).
     """
-    C = [Fraction(1)]
-    B = [Fraction(1)]
+    if p is None:
+        def inv(b):
+            return 1 / Fraction(b)
+
+        def norm(x):
+            return x
+    else:
+        def inv(b):
+            return pow(b, -1, p)
+
+        def norm(x):
+            return x % p
+        seq = [s % p for s in seq]
+    C = [1]
+    B = [1]
     L = 0
     m = 1
-    b = Fraction(1)
+    b_inv = 1
     for n, s in enumerate(seq):
-        d = Fraction(s)
-        for i in range(1, L + 1):
-            d += C[i] * seq[n - i]
+        d = norm(s + sum(C[i] * seq[n - i] for i in range(1, L + 1)))
         if d == 0:
             m += 1
             continue
+        T = C
+        coef = norm(d * b_inv)
+        C = C + [0] * (len(B) + m - len(C))
+        for j, y in enumerate(B):
+            C[j + m] = norm(C[j + m] - coef * y)
         if 2 * L <= n:
-            T = C[:]
-            coef = d / b
-            need = len(B) + m
-            if len(C) < need:
-                C = C + [Fraction(0)] * (need - len(C))
-            for j, y in enumerate(B):
-                C[j + m] -= coef * y
             L = n + 1 - L
             B = T
-            b = d
+            b_inv = inv(d)
             m = 1
         else:
-            coef = d / b
-            need = len(B) + m
-            if len(C) < need:
-                C = C + [Fraction(0)] * (need - len(C))
-            for j, y in enumerate(B):
-                C[j + m] -= coef * y
             m += 1
-    while len(C) > L + 1:
-        C.pop()
-    while len(C) < L + 1:
-        C.append(Fraction(0))
+    C = (C + [0] * L)[:L + 1]
     return L, C
+
+
+def _recurrence(seq, C) -> LinearRecurrence:
+    """The recurrence with connection polynomial C (C[0] = 1), started from seq."""
+    return LinearRecurrence(tuple(-c for c in C[1:]), tuple(seq[:len(C) - 1]))
 
 
 def fit_recurrence(seq, max_order: int) -> LinearRecurrence:
     """Minimal-order linear recurrence fitting every term of seq.
 
     Needs at least 2*max_order + 1 terms; raises RecurrenceError when no
-    recurrence of order <= max_order fits.
+    recurrence of order <= max_order fits.  Berlekamp-Massey runs over Q:
+    without a known bound on the true order, nothing would certify that
+    a recurrence found modulo a prime is minimal.
     """
     seq = list(seq)
     if len(seq) < 2 * max_order + 1:
@@ -179,8 +191,7 @@ def fit_recurrence(seq, max_order: int) -> LinearRecurrence:
     L, C = _berlekamp_massey(seq)
     if L > max_order:
         raise RecurrenceError(f"no recurrence of order <= {max_order} fits")
-    coeffs = tuple(-c for c in C[1:])
-    rec = LinearRecurrence(coeffs, tuple(seq[:L]))
+    rec = _recurrence(seq, C)
     if not rec.fits(seq):
         raise RecurrenceError("recurrence fit failed on the supplied terms")
     return rec
@@ -209,16 +220,31 @@ def fit_repunit_genfun(automaton, alpha):
     """Provably-correct generating function of an automaton's repunit counts.
 
     The iterate vectors of the digit matrix become linearly dependent at
-    some length D (at most the state count); the scalar sequence then
-    satisfies an order-D recurrence valid from the first term, so
-    Berlekamp-Massey on 2D+1 terms is certified minimal.  Ten more terms
-    are computed and re-verified on top.
-    Returns (sequence, recurrence, generating function).
+    some length D (at most the state count, see krylov_order); the scalar
+    sequence then satisfies an order-D recurrence valid from the first
+    term, and 2D + 11 terms are computed.
+
+    Berlekamp-Massey runs modulo a 61-bit prime p.  The minimal recurrence
+    over Q is integral with constant term 1 (Fatou), so its reduction is a
+    recurrence mod p and the order L_p found mod p is at most the true
+    order L_Q <= D.  The connection polynomial is lifted to integers and
+    must fit all 2D + 11 >= L_p + D terms exactly, which proves
+    L_Q <= L_p; a failed fit adds primes (see modular.certified_lift).
+    The lifted recurrence is therefore the unique minimal one, with int
+    coefficients.  Returns (sequence, recurrence, generating function).
     """
     D = automaton.krylov_order()
     terms = 2 * D + 11
     seq = automaton.repunit_counts(alpha, terms)
-    rec = fit_recurrence(seq, max_order=D)
+
+    def solve(p):
+        return _berlekamp_massey(seq, p)
+
+    def holds(L, C):
+        return _recurrence(seq, C).fits(seq)
+
+    base = 1 + automaton.field.q**automaton.f.k
+    rec = _recurrence(seq, modular.certified_lift(solve, holds, base, D)[1])
     gf = seq_to_genfun(seq, rec)
     if gf.expand(terms) != seq:
         raise RecurrenceError("generating function failed to reproduce the counts")

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -135,6 +138,34 @@ def test_census_matches_oracle(q, k, data):
     census = A.census(n)
     assert census == brute_power_census(f, n)
     assert census == {a: A.count(n, a) for a in range(1, q) if A.count(n, a)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from(sorted(CENSUS_FIELDS)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_census_and_zeros_fill_the_slots(q, k, data):
+    # the automaton's census plus the zeros of the plain expansion cover
+    # every slot of the box prod [0, n * deg_i f] exactly once
+    field = CENSUS_FIELDS[q]
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
+        min_size=1, max_size=4, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    n = data.draw(st.integers(min_value=0, max_value=12))
+    try:
+        A = build_automaton(f, state_cap=CENSUS_STATE_CAP)
+    except StateCapError:
+        assume(False)
+    g = f.pow(n)
+    box = itertools.product(*(range(n * d + 1) for d in f.var_degrees()))
+    zeros = sum(1 for e in box if e not in g.terms)
+    slots = math.prod(n * d + 1 for d in f.var_degrees())
+    assert sum(A.census(n).values()) + zeros == slots
 
 
 def test_base_digits():

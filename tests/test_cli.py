@@ -188,6 +188,10 @@ GOLDEN = Path(__file__).parent / "golden"
      "automaton --field 3 --poly 2+x+x^2 --n 100 --alpha 2 --dump-states"),
     ("genfun_from_automaton_f2_k2",
      "genfun --from-automaton 1+x1+x2+x2^2 --k 2 --field 2"),
+    # 111 states, Krylov order 96, recurrence order 54: the certified
+    # modular fit, byte for byte
+    ("genfun_from_automaton_f2_k2_111",
+     "genfun --from-automaton 1+x1*x2^3+x1^2+x1^2*x2^3+x1^3*x2^2 --k 2 --field 2"),
     ("qpow_f2_quintic_verify10", "qpow --field 2 --g 1+x^2+x^5 --verify-upto 10"),
 ])
 def test_golden_stdout(capsys, name, argv):
@@ -195,6 +199,12 @@ def test_golden_stdout(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_qpow_honours_state_cap(capsys):
+    code, out, err = run_cli(capsys, "--state-cap", "5", "qpow", "--field", "2",
+                             "--g", "1+x^2+x^5")
+    assert (code, out) == (1, "") and "state cap 5 exceeded" in err
 
 
 def test_deterministic_output(capsys):
