@@ -13,7 +13,12 @@ q-power counts (see qpow) make only the columns their walk touches.
 
 Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
 counts and censuses its last vector; repunit counts, the Krylov order and
-q-power sequences the iterates of a repeated digit.
+q-power sequences the iterates of a repeated digit.  Counts and censuses
+walk each run of equal digits only until a product leaves the vector
+unchanged off the zero pattern, then jump the rest of the run in closed
+form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs get there within a
+few products: the cost is one product per digit outside zero runs, plus
+the few each run takes to reach its fixed point.
 
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
@@ -302,16 +307,50 @@ class DigitAutomaton:
             yield vec
 
     def _end_vector(self, n: int, prefix: MultiPoly | None):
-        for vec in self.walk(base_digits(n, self.field.q), self.start_vector(prefix)):
-            pass
+        """The state vector after the digits of n, jumping fixed runs.
+
+        The zero pattern's column is {zero: q^k} for every digit, so once a
+        step of a run leaves the vector unchanged off the zero state, every
+        later step of the run does too, and the zero entry follows from the
+        column sums: after j more steps it is q^(k j) (z + S) - S, with z
+        the zero entry and S the sum of the others.  The result equals the
+        plain walk's last vector.  The skip waits for a step that interned
+        no state, since a new state would change the vector's length.
+        """
+        q = self.field.q
+        zero_pat = bytes(len(self.box))
+        vec = self.start_vector(prefix)
+        for digit, group in itertools.groupby(base_digits(n, q)):
+            run = sum(1 for _ in group)
+            steps = self.walk(itertools.repeat(digit, run), vec)
+            prev = next(steps)
+            for taken, vec in enumerate(steps, 1):
+                zero = self._state_index.get(zero_pat)
+                if (taken < run and zero is not None and len(vec) == len(prev)
+                        and vec[:zero] == prev[:zero]
+                        and vec[zero + 1:] == prev[zero + 1:]):
+                    rest = sum(vec) - vec[zero]
+                    vec[zero] = q**(self.f.k * (run - taken)) * (vec[zero] + rest) - rest
+                    break
+                prev = vec
         return vec
 
     def count(self, n: int, alpha, prefix: MultiPoly | None = None) -> int:
-        """Exact number of coefficients of prefix * f^n equal to alpha."""
+        """Exact number of coefficients of prefix * f^n equal to alpha.
+
+        Costs one digit product per base-q digit of n outside zero runs,
+        plus the few products each run takes to reach its fixed point: a
+        zero run shrinks every pattern's support by a factor q per step, so
+        it is fixed after at most 2 + log_q(largest box bound) products
+        (see _end_vector).
+        """
         return self.read_counts(alpha, [self._end_vector(n, prefix)])[0]
 
     def census(self, n: int, prefix: MultiPoly | None = None):
-        """Each nonzero coefficient value of prefix * f^n and its multiplicity."""
+        """Each nonzero coefficient value of prefix * f^n and its multiplicity.
+
+        One walk for every value, at the cost of count().
+        """
         vecs = [self._end_vector(n, prefix)]
         census = {a: self.read_counts(a, vecs)[0] for a in range(1, self.field.q)}
         return {a: count for a, count in census.items() if count}

@@ -62,6 +62,8 @@ def emit(obj) -> None:
 def _parse_exponent(text: str, q: int) -> int:
     if text.startswith("rep:"):
         m = int(text[4:])
+        if m < 0:
+            raise ValueError(f"rep:m needs m >= 0, got {m}")
         return (q**m - 1) // (q - 1)
     return int(text)
 

@@ -237,6 +237,72 @@ def test_unclosed_automaton_matches_closed(q, k, data):
     assert lazy.repunit_counts(alpha, 5) == closed.repunit_counts(alpha, 5)
 
 
+def _zero_run_exponent(data, q):
+    """n from 1-4 digit blocks below q^3 with 0-40 zero digits after each."""
+    n, place = 0, 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        n += data.draw(st.integers(min_value=0, max_value=q**3 - 1)) * q**place
+        place += 3 + data.draw(st.integers(min_value=0, max_value=40))
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(UNCLOSED_FIELDS)),
+    k=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_run_jumps_match_the_plain_walk(q, k, data):
+    # count and census jump runs that leave the vector fixed off the zero
+    # state; the jumped end vector must be the plain walk's, zero entry too
+    field = UNCLOSED_FIELDS[q]
+    polys = st.lists(st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
+                     min_size=1, max_size=3, unique=True)
+    exps = data.draw(polys)
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    prefix = None
+    if data.draw(st.booleans()):
+        prefix_exps = data.draw(polys)
+        prefix = MultiPoly(k, field, {e: 1 for e in prefix_exps})
+    seeds = [] if prefix is None else [prefix]
+    try:
+        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, seeds=seeds)
+    except StateCapError:
+        assume(False)
+    n = _zero_run_exponent(data, q)
+    digits = base_digits(n, q)
+
+    *_, plain = closed.walk(digits, closed.start_vector(prefix))
+    assert closed._end_vector(n, prefix) == plain
+
+    # on unclosed automata the jump makes the same states as a plain walk
+    lazy, walked = DigitAutomaton(f, seeds=seeds), DigitAutomaton(f, seeds=seeds)
+    assert lazy.census(n, prefix) == closed.census(n, prefix)
+    for _ in walked.walk(digits, walked.start_vector(prefix)):
+        pass
+    assert lazy.state_count == walked.state_count
+
+
+def test_frobenius_shift_keeps_counts():
+    # f^(n q^m) = f^n(x^q^m) over F_q has the same nonzero coefficients
+    for f in (parse_poly("1+x1+x2+x2^2", 2, F2), parse_poly("2+x+x^2", 1, F3),
+              parse_poly("1+2*x1+3*x1*x2^2", 2, F4)):
+        q = f.ring.q
+        A = build_automaton(f)
+        for n in (1, 5, 7, 19, q**3 + 1):
+            for alpha in range(1, q):
+                base = A.count(n, alpha)
+                assert [A.count(n * q**m, alpha) for m in (1, 2, 7, 40)] == [base] * 4
+        # exponents up to 64 with a zero digit between nonzero ones
+        inner = [n for n in range(65) if 0 in base_digits(n, q)[:-1]
+                 and n % q]
+        assert inner
+        for n in inner:
+            assert A.census(n) == brute_power_census(f, n)
+
+
 def test_state_cap():
     f = vandermonde_poly(4, F2)
     with pytest.raises(StateCapError):

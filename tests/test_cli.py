@@ -225,3 +225,12 @@ def test_computation_error_exit_1(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["automaton", "oracle"])
+def test_negative_repunit_length_refused(capsys, command):
+    # q^m for m < 0 is a float; it is refused before any count starts
+    code, out, err = run_cli(capsys, command, "--field", "2", "--poly", "1+x",
+                             "--n", "rep:-3")
+    assert (code, out) == (1, "")
+    assert "rep:m needs m >= 0, got -3" in err
