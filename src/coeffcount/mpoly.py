@@ -1,13 +1,16 @@
 """Sparse multivariate polynomials over F_q or the integers.
 
-Terms live in a dict mapping exponent tuples to nonzero coefficients.
-Field coefficients are stored as integer encodings (see ffield); integer
-coefficients are plain ints.  Values are never mutated after
-construction, so polynomials can be shared freely.  `MultiPoly.mul`
-multiplies on int keys with one byte-aligned field per variable and
-unpacks the product once; `linear_product` expands products of linear
-forms.  `ExponentPacker` packs exponent vectors into int keys with one
-bit field per variable for the oracle and the automaton build.
+Terms map exponent tuples to nonzero coefficients.  Field coefficients are
+stored as integer encodings (see ffield); integer coefficients are plain
+ints.  `MultiPoly.mul` multiplies on int keys with one byte-aligned field
+per variable, and its product stays on those packed keys, with its exact
+per-variable degrees, until `.terms` is first read: that read unpacks once
+and caches the tuple dict.  The cached unpack is the only mutation, so
+polynomials can be shared freely.  A chain of products therefore packs only
+the operands built from tuples, and repacks a product only when the field
+width grows.  `linear_product` expands products of linear forms.
+`ExponentPacker` packs exponent vectors into int keys with one bit field
+per variable for the oracle and the automaton build.
 """
 
 from __future__ import annotations
@@ -50,15 +53,25 @@ ZZ = IntegerRing()
 
 
 class MultiPoly:
-    __slots__ = ("k", "ring", "terms")
+    """A sparse polynomial in k variables over ring (ZZ or a Field).
+
+    Built from a dict, it holds its terms as exponent tuples.  A product
+    made by `mul` holds them on packed int keys in its key layout, with its
+    exact per-variable degrees, and unpacks them once, when `.terms` is
+    first read; `num_terms`, `is_zero` and `var_degrees` answer without
+    unpacking.  That cached unpack is the only mutation.
+    """
+
+    __slots__ = ("k", "ring", "_terms", "_packed", "_layout", "_degs")
 
     def __init__(self, k: int, ring, terms=None, _clean=False):
         self.k = k
         self.ring = ring
+        self._packed = self._layout = self._degs = None
         if terms is None:
             terms = {}
         if _clean:
-            self.terms = terms
+            self._terms = terms
         else:
             clean = {}
             for exp, c in terms.items():
@@ -69,7 +82,40 @@ class MultiPoly:
                     clean[exp] = ring.add(clean[exp], c) if exp in clean else c
                     if not clean[exp]:
                         del clean[exp]
-            self.terms = clean
+            self._terms = clean
+
+    @classmethod
+    def _product(cls, k, ring, packed: dict, layout: struct.Struct, degs):
+        """A polynomial held on packed keys; degs must be its exact degrees."""
+        poly = cls.__new__(cls)
+        poly.k = k
+        poly.ring = ring
+        poly._terms = None
+        poly._packed = packed
+        poly._layout = layout
+        poly._degs = degs
+        return poly
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> nonzero coefficient, unpacked on the first read."""
+        terms = self._terms
+        if terms is None:
+            unpack, nbytes = self._layout.unpack, self._layout.size
+            terms = self._terms = {unpack(key.to_bytes(nbytes, "little")): c
+                                   for key, c in self._packed.items()}
+        return terms
+
+    def _held(self) -> dict:
+        """The terms as held: on packed keys until the first unpack."""
+        return self._packed if self._terms is None else self._terms
+
+    def _packed_in(self, layout: struct.Struct) -> dict:
+        """The terms on int keys in layout, reused when they are held so."""
+        if self._layout is not None and self._layout.format == layout.format:
+            return self._packed
+        pack, from_bytes = layout.pack, int.from_bytes
+        return {from_bytes(pack(*e), "little"): c for e, c in self.terms.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -90,27 +136,24 @@ class MultiPoly:
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._held()
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self._held())
 
     def var_degrees(self):
         """Componentwise max of the exponent vectors (the degree box)."""
-        if not self.terms:
+        if self._degs is not None:
+            return self._degs
+        if not self._terms:
             raise ValueError("var_degrees of the zero polynomial")
-        degs = [0] * self.k
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e > degs[i]:
-                    degs[i] = e
-        return tuple(degs)
+        return tuple(map(max, zip(*self._terms)))
 
     def coeff_census(self):
         """Map each distinct nonzero coefficient value to its multiplicity."""
         census = {}
-        for c in self.terms.values():
+        for c in self._held().values():
             census[c] = census.get(c, 0) + 1
         return census
 
@@ -150,23 +193,21 @@ class MultiPoly:
         self._check_compatible(other)
         if budget is None:
             budget = DEFAULT_TERM_BUDGET
-        ring = self.ring
-        a, b = self.terms, other.terms
+        k, ring = self.k, self.ring
+        if self.is_zero() or other.is_zero():
+            return MultiPoly.zero(k, ring)
+        # ZZ and every Field are integral domains, so the degree in each
+        # variable of a product is exactly the sum of the operands' degrees
+        degs = tuple(map(operator.add, self.var_degrees(), other.var_degrees()))
+        layout = _key_fields(k, max(degs, default=0))
+        a, b = self._packed_in(layout), other._packed_in(layout)
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return MultiPoly.zero(self.k, ring)
-        top = max(map(max, a)) + max(map(max, b)) if self.k else 0
-        fields = _key_fields(self.k, top)
-        pack, unpack, nbytes = fields.pack, fields.unpack, fields.size
-        from_bytes = int.from_bytes
-        packed_a = [(from_bytes(pack(*e), "little"), c) for e, c in a.items()]
         out = {}
         radd = ring.add
         rmul = ring.mul
-        for e2, c2 in b.items():
-            k2 = from_bytes(pack(*e2), "little")
-            for k1, c1 in packed_a:
+        for k2, c2 in b.items():
+            for k1, c1 in a.items():
                 key = k1 + k2
                 c = rmul(c1, c2)
                 if key in out:
@@ -175,8 +216,9 @@ class MultiPoly:
                     out[key] = c
             if len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in multiplication")
-        out = {unpack(key.to_bytes(nbytes, "little")): c for key, c in out.items() if c}
-        return MultiPoly(self.k, ring, out, _clean=True)
+        if not all(out.values()):
+            out = {key: c for key, c in out.items() if c}
+        return MultiPoly._product(k, ring, out, layout, degs)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -290,6 +332,7 @@ def linear_product(k: int, ring, forms) -> MultiPoly:
             if c:
                 terms[exp] = c
         poly = poly.mul(MultiPoly(k, ring, terms, _clean=True))
+    poly.terms  # unpack here, so that the whole expansion is paid inside this call
     return poly
 
 
@@ -298,8 +341,8 @@ def _key_fields(k: int, top: int) -> struct.Struct:
 
     Each field is little-endian and 1, 2, 4 or 8 bytes wide, the narrowest
     that holds top, so adding two keys adds their exponent vectors as long
-    as no sum exceeds top.  Raises BudgetError when top needs more than 64
-    bits.
+    as no sum exceeds top.  MultiPoly.mul passes the largest exponent of
+    the product.  Raises BudgetError when top needs more than 64 bits.
     """
     for code, bits in zip("BHIQ", (8, 16, 32, 64)):
         if top >> bits == 0:

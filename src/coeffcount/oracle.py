@@ -7,7 +7,8 @@ these counts and the optimized modules is what the test suite leans on.
 Exponent vectors are packed into single integers by mpoly.ExponentPacker
 (fixed bit width per variable, wide enough for the full product) purely to
 make dict keys cheap; the arithmetic is still the schoolbook convolution,
-written out here rather than shared with MultiPoly.mul.
+written out here rather than shared with MultiPoly.mul.  Over a field with
+operation tables (q <= 256) the convolution indexes them inline.
 """
 
 from __future__ import annotations
@@ -24,10 +25,25 @@ def _census_of(packed_terms_values):
 
 
 def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
-    radd = ring.add
-    rmul = ring.mul
     out: dict = {}
     get = out.get
+    if isinstance(ring, Field) and ring._mul is not None:
+        # the field's operation tables, indexed inline: no call per term pair
+        add_table = ring._add
+        for fe, fc in factor:
+            times_fc = ring._mul[fc]
+            for ae, ac in acc.items():
+                key = ae + fe
+                prev = get(key)
+                if prev is None:
+                    out[key] = times_fc[ac]
+                else:
+                    out[key] = add_table[prev][times_fc[ac]]
+            if len(out) > budget:
+                raise BudgetError(f"term budget {budget} exceeded in oracle expansion")
+        return {e: c for e, c in out.items() if c}
+    radd = ring.add
+    rmul = ring.mul
     for fe, fc in factor:
         for ae, ac in acc.items():
             key = ae + fe

@@ -148,6 +148,14 @@ def test_mul_bounds_the_exponent_width():
         g.mul(g)
     with pytest.raises(BudgetError):
         parse_poly("1+x", 1, F2).pow(2**64)
+    # the width comes from the product's exact degrees, not from stacked bounds:
+    # (2^62, 2^62) + (2^63, 0) stays below 2^64 in each variable
+    x62, y62, x63 = (MultiPoly(2, ZZ, {e: 1}) for e in
+                     ((2**62, 0), (0, 2**62), (2**63, 0)))
+    assert (x62 * y62 * x63).terms == {(2**62 + 2**63, 2**62): 1}
+    assert (x63 * x62 * y62).var_degrees() == (2**62 + 2**63, 2**62)
+    y63 = MultiPoly(2, ZZ, {(0, 2**63): 1})
+    assert (x63 * y63).terms == {(2**63, 2**63): 1}
 
 
 def _schoolbook(f, g):
@@ -186,6 +194,62 @@ def test_mul_matches_tuple_schoolbook(ring, k, data):
     assert all(got.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZZ, F2, F3, F4, F9]), st.integers(0, 3), st.data())
+def test_mul_chains_stay_packed_until_read(ring, k, data):
+    # Each step multiplies the running product by an operand built from
+    # tuples or by another product, on either side, and is checked against
+    # the tuple schoolbook on eagerly held copies before and after unpacking.
+    # Operands with small exponents keep a product on 1-byte fields until an
+    # operand at a field edge makes the next product repack it.
+    coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3] if ring is ZZ else range(1, ring.q))
+    small, edge = (st.lists(e, min_size=k, max_size=k).map(tuple)
+                   for e in (st.integers(0, 3), EDGE_EXPONENTS))
+
+    def operand():
+        exps = data.draw(st.sampled_from([small, edge]))
+        terms = data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+        return MultiPoly(k, ring, terms), MultiPoly(k, ring, terms)
+
+    def product(lazy_pair, eager_pair):
+        want = _schoolbook(*eager_pair)
+        if any(e >> 64 for exp in want for e in exp):
+            with pytest.raises(BudgetError, match="2\\^64"):
+                lazy_pair[0].mul(lazy_pair[1])
+            return None, None
+        got = lazy_pair[0].mul(lazy_pair[1])
+        eager = MultiPoly(k, ring, want, _clean=True)
+        assert got.num_terms == eager.num_terms
+        assert got.is_zero() == eager.is_zero()
+        assert got.var_degrees() == eager.var_degrees()  # operands are nonzero
+        assert got._terms is None  # none of the queries above unpacked it
+        return got, eager
+
+    lazy, eager = operand()
+    for _ in range(data.draw(st.integers(2, 5))):
+        if eager.num_terms > 256:  # keeps each example small
+            break
+        other, other_eager = operand()
+        if data.draw(st.booleans()):
+            second, second_eager = operand()
+            other, other_eager = product((other, second), (other_eager, second_eager))
+            if other is None:
+                return
+        if data.draw(st.booleans()):
+            lazy, eager = product((lazy, other), (eager, other_eager))
+        else:
+            lazy, eager = product((other, lazy), (other_eager, eager))
+        if lazy is None:
+            return
+        if data.draw(st.booleans()):
+            # read now, so that the next product reuses a packed dict whose
+            # tuple dict is already cached
+            assert lazy == eager and hash(lazy) == hash(eager)
+            assert list(lazy.terms.items()) == list(eager.terms.items())
+    assert list(lazy.terms.items()) == list(eager.terms.items())
+    assert lazy == eager and hash(lazy) == hash(eager)
+
+
 def test_dense_roundtrip():
     f = parse_poly("1+2*x^3", 1, ZZ)
     assert dense_coeffs(f) == [1, 0, 0, 2]
@@ -214,6 +278,8 @@ def test_linear_product():
     assert linear_product(2, ZZ, [form, form]) == parse_poly("x1^2+2*x1*x2+x2^2", 2, ZZ)
     # no forms: the empty product is 1
     assert linear_product(3, ZZ, []) == MultiPoly.one(3, ZZ)
+    # the product comes back with its terms already unpacked
+    assert linear_product(3, ZZ, [form, form, {2: 1}])._terms is not None
     with pytest.raises(ValueError):
         linear_product(2, ZZ, [{2: 1}])
     with pytest.raises(ValueError):
