@@ -71,27 +71,22 @@ def _corpus_texts():
     }
 
 
+# the Vandermonde products over F_2: name -> (variables, plus one)
+VANDERMONDE = {"v2": (2, False), "v3": (3, False), "v4": (4, False),
+               "vp2": (2, True), "vp3": (3, True)}
+
+
 @lru_cache(maxsize=None)
 def corpus_poly(name: str) -> MultiPoly:
     texts = _corpus_texts()
     if name in texts:
         fkey, text, k = texts[name]
         return parse_poly(text, k, FIELDS[fkey])
-    F2 = FIELDS["F2"]
-    if name == "v2":
-        return vandermonde_poly(2, F2)
-    if name == "v3":
-        return vandermonde_poly(3, F2)
-    if name == "v4":
-        return vandermonde_poly(4, F2)
-    if name == "vp2":
-        return vandermonde_poly(2, F2, plus_one=True)
-    if name == "vp3":
-        return vandermonde_poly(3, F2, plus_one=True)
-    raise KeyError(name)
+    nvars, plus_one = VANDERMONDE[name]
+    return vandermonde_poly(nvars, FIELDS["F2"], plus_one)
 
 
-CORPUS_ALL = list(_corpus_texts()) + ["v2", "v3", "v4", "vp2", "vp3"]
+CORPUS_ALL = list(_corpus_texts()) + list(VANDERMONDE)
 # v4 is exercised through the automaton and small oracle powers only; its
 # 64-step expansion ladder would dominate the whole suite's runtime.
 CORPUS_LADDER = [name for name in CORPUS_ALL if name != "v4"]

@@ -20,6 +20,8 @@ form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs get there within a
 few products: the cost is one product per digit outside zero runs, plus
 the few each run takes to reach its fixed point.
 
+Exponents live on packed int keys from construction on: the powers of f
+come from the packed convolution the columns run, never `MultiPoly.mul`.
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
 large are far beyond what pattern enumeration could handle anyway).
@@ -55,21 +57,21 @@ def base_digits(n: int, q: int):
     return digits
 
 
-class SectionBox:
-    """The box S = prod [0, bounds_i] of exponent vectors, in a fixed order."""
+def _convolve(outer, inner, add_table, mul_table):
+    """Products of two packed (key, coeff) lists, summed by key in first-seen order.
 
-    def __init__(self, bounds):
-        self.bounds = tuple(int(b) for b in bounds)
-        if any(b < 0 for b in self.bounds):
-            raise ValueError("box bounds must be nonnegative")
-        self.points = list(itertools.product(*(range(b + 1) for b in self.bounds)))
-        self.index = {pt: i for i, pt in enumerate(self.points)}
-
-    def __len__(self):
-        return len(self.points)
-
-    def contains_degrees(self, degs) -> bool:
-        return all(d <= b for d, b in zip(degs, self.bounds))
+    The packer's fields must hold every key sum; sums that cancel stay as 0.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
+    for outer_key, outer_c in outer:
+        row = mul_table[outer_c]
+        for inner_key, inner_c in inner:
+            key = outer_key + inner_key
+            v = row[inner_c]
+            prev = get(key)
+            acc[key] = v if prev is None else add_table[prev][v]
+    return acc
 
 
 class DigitAutomaton:
@@ -85,11 +87,11 @@ class DigitAutomaton:
     with G's coefficients) is expanded and its exponents split as
     gamma + q*delta with gamma in {0..q-1}^k; each gamma slice is a child
     pattern.  Box bounds (q-1)*deg_i(f) guarantee the slices never escape
-    the box, so the closure is finite.
+    the box, held as packed keys in `itertools.product` order, so the
+    closure is finite.  Each f^a is the convolution of f^(a-1) with f.
 
     Attributes:
         field, f: the coefficient field and base polynomial.
-        box: the SectionBox the patterns live on.
         states: the patterns discovered so far, bytes over box points.
         transitions: per digit a, a list over states of sparse columns
             [(child_state, multiplicity), ...] summing to q^k, or None
@@ -117,24 +119,29 @@ class DigitAutomaton:
                 bounds = [max(b, d) for b, d in zip(bounds, g.var_degrees())]
         self.field = field
         self.f = f
-        self.box = SectionBox(bounds)
+        self._bounds = tuple(bounds)
         self._state_cap = state_cap
         self.states: list[bytes] = []
         self.transitions = [[] for _ in range(q)]
         self._state_index: dict[bytes, int] = {}
         self._missing = 0  # (state, digit) columns not made yet
 
-        # exponent vectors of products f^a * G packed into single ints
+        # exponents of f^a * G packed into ints; f^(q-1) * G never carries
         self._packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
-        self._box_packed = [self._packer.pack(pt) for pt in self.box.points]
-        self._delta_index = {key: i for i, key in enumerate(self._box_packed)}
-        f_pows = [MultiPoly.one(k, field)]
+        box = [0]
+        for b, shift in zip(bounds, self._packer.shifts):
+            box = [key + (e << shift) for key in box for e in range(b + 1)]
+        self._box_packed = box
+        self._delta_index = {key: i for i, key in enumerate(box)}
+        f_packed = self._packer.pack_terms(f)
+        self._f_pows_packed = [[(0, field.one)]]
         for _ in range(q - 1):
-            f_pows.append(f_pows[-1] * f)
-        self._f_pows_packed = [self._packer.pack_terms(g) for g in f_pows]
+            acc = _convolve(self._f_pows_packed[-1], f_packed, field._add, field._mul)
+            self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
 
-        self.initial = self._intern(self.pattern_of(MultiPoly.one(k, field)))
+        # box point 0 is the exponent vector 0
+        self.initial = self._intern(bytes([field.one]) + bytes(len(box) - 1))
         for g in seeds:
             self._intern(self.pattern_of(g))
 
@@ -183,15 +190,8 @@ class DigitAutomaton:
         index_get = self._state_index.get
         gamma_count = self.field.q**self.f.k
         for a in digits:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for fe, fc in self._f_pows_packed[a]:
-                row = mul_table[fc]
-                for base, gval in support:
-                    key = base + fe
-                    v = row[gval]
-                    prev = get(key)
-                    acc[key] = v if prev is None else add_table[prev][v]
+            # f^a outer, support inner: acc's key order sets the state numbering
+            acc = _convolve(self._f_pows_packed[a], support, add_table, mul_table)
             children: dict[int, bytearray] = {}
             for key, v in acc.items():
                 if v:
@@ -270,12 +270,12 @@ class DigitAutomaton:
     def pattern_of(self, poly: MultiPoly) -> bytes:
         if poly.k != self.f.k or poly.ring != self.field:
             raise AutomatonError("polynomial does not match the automaton")
-        arr = bytearray(len(self.box))
+        arr = bytearray(len(self._box_packed))
         if not poly.is_zero():
-            if not self.box.contains_degrees(poly.var_degrees()):
+            if any(d > b for d, b in zip(poly.var_degrees(), self._bounds)):
                 raise AutomatonError("polynomial exponents fall outside the box")
-            for exp, c in poly.terms.items():
-                arr[self.box.index[exp]] = c
+            for key, c in self._packer.pack_terms(poly):
+                arr[self._delta_index[key]] = c
         return bytes(arr)
 
     # -- evaluation ---------------------------------------------------------
@@ -318,7 +318,7 @@ class DigitAutomaton:
         no state, since a new state would change the vector's length.
         """
         q = self.field.q
-        zero_pat = bytes(len(self.box))
+        zero_pat = bytes(len(self._box_packed))
         vec = self.start_vector(prefix)
         for digit, group in itertools.groupby(base_digits(n, q)):
             run = sum(1 for _ in group)
@@ -408,8 +408,8 @@ class DigitAutomaton:
             "field": {"p": self.field.p, "r": self.field.r,
                       "modulus": list(self.field.modulus)},
             "poly": repr(self.f),
-            "box_bounds": list(self.box.bounds),
-            "box_points": [list(pt) for pt in self.box.points],
+            "box_bounds": list(self._bounds),
+            "box_points": [list(self._packer.unpack(key)) for key in self._box_packed],
             "state_count": self.state_count,
             "states": [list(pat) for pat in self.states],
             "initial": self.initial,

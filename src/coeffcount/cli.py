@@ -31,6 +31,10 @@ from .ratgen import (
     seq_to_genfun,
 )
 
+# bound on m in rep:m, the length of a decimal --n and --verify-upto M,
+# checked before q^m is formed or a digit walked
+MAX_EXPONENT_DIGITS = 20_000
+
 
 def parse_field(text: str) -> Field:
     """Parse `p` or `p^r[:c0,c1,...,1]` (modulus digits, constant first)."""
@@ -51,6 +55,11 @@ def _json_int(x) -> str:
     return str(int(x))
 
 
+def _json_gf(gf) -> dict:
+    return {"numerator": [str(c) for c in gf.num],
+            "denominator": [str(c) for c in gf.den]}
+
+
 def _json_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -60,10 +69,14 @@ def emit(obj) -> None:
 
 
 def _parse_exponent(text: str, q: int) -> int:
+    if len(text) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent longer than {MAX_EXPONENT_DIGITS} characters")
     if text.startswith("rep:"):
         m = int(text[4:])
         if m < 0:
             raise ValueError(f"rep:m needs m >= 0, got {m}")
+        if m > MAX_EXPONENT_DIGITS:
+            raise ValueError(f"rep:m needs m <= {MAX_EXPONENT_DIGITS}, got {m}")
         return (q**m - 1) // (q - 1)
     return int(text)
 
@@ -71,15 +84,12 @@ def _parse_exponent(text: str, q: int) -> int:
 def cmd_automaton(args) -> int:
     field = parse_field(args.field)
     f = parse_poly(args.poly, args.k, field)
-    seeds = []
-    prefix = None
-    if args.prefix:
-        prefix = parse_poly(args.prefix, args.k, field)
-        seeds.append(prefix)
+    n = None if args.n is None else _parse_exponent(args.n, field.q)
+    prefix = parse_poly(args.prefix, args.k, field) if args.prefix else None
+    seeds = [] if prefix is None else [prefix]
     A = build_automaton(f, state_cap=args.state_cap, seeds=seeds)
     out = {"states": A.state_count}
-    if args.n is not None:
-        n = _parse_exponent(args.n, field.q)
+    if n is not None:
         out["n"] = _json_int(n)
         out["count"] = _json_int(A.count(n, args.alpha, prefix=prefix))
     if args.dump_states:
@@ -102,8 +112,7 @@ def cmd_genfun(args) -> int:
     else:
         raise ValueError("need --seq or --from-automaton")
     emit({
-        "numerator": [str(c) for c in gf.num],
-        "denominator": [str(c) for c in gf.den],
+        **_json_gf(gf),
         "recurrence": [_json_frac(c) for c in rec.coeffs],
         "order": rec.order,
         "terms": [str(v) for v in seq],
@@ -112,6 +121,8 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_qpow(args) -> int:
+    if (args.verify_upto or 0) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}")
     field = parse_field(args.field)
     g = dense_coeffs(parse_poly(args.g, 1, field))
     prof = qpow.fit_qpow_profile(g, field, args.c, args.alpha, args.state_cap)
@@ -193,9 +204,7 @@ def cmd_lattice(args) -> int:
 def cmd_traveling(args) -> int:
     kind = args.kind
     if kind == "genfun":
-        gf = traveling.traveling_genfun(args.j, args.k)
-        emit({"numerator": [str(c) for c in gf.num],
-              "denominator": [str(c) for c in gf.den]})
+        emit(_json_gf(traveling.traveling_genfun(args.j, args.k)))
     elif kind == "seq":
         emit({"terms": [str(v)
                         for v in traveling.traveling_seq(args.j, args.k, args.terms)]})
@@ -205,9 +214,7 @@ def cmd_traveling(args) -> int:
                   str(c) for c in traveling.charpoly(
                       traveling.connectivity_matrix(args.k, args.m))]})
     elif kind == "v-genfun":
-        gf = traveling.window_power_genfun(args.k, args.m)
-        emit({"numerator": [str(c) for c in gf.num],
-              "denominator": [str(c) for c in gf.den]})
+        emit(_json_gf(traveling.window_power_genfun(args.k, args.m)))
     elif kind == "d-counts":
         out = {"schroeder": _json_int(traveling.schroeder_sum(args.n))}
         if args.k == 0:
@@ -239,8 +246,7 @@ def cmd_oracle(args) -> int:
             fast = A.count(n, args.alpha)
             out["automaton"] = _json_int(fast)
             out["verdict"] = "PASS" if fast == brute else "FAIL"
-            print(f"oracle={brute} automaton={fast} "
-                  f"{'PASS' if fast == brute else 'FAIL'}", file=sys.stderr)
+            print(f"oracle={brute} automaton={fast} {out['verdict']}", file=sys.stderr)
         emit(out)
         return 0 if out.get("verdict", "PASS") == "PASS" else 1
     if args.factors:
@@ -355,14 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_cap:  # exact integers: lift Python's int <-> str digit cap
+        sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (FieldError, ParseError, BudgetError, AutomatonError,
             RecurrenceError, qpow.QPowError, lattice.LatticeError,
             traveling.TravelingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

@@ -30,20 +30,30 @@ class QPowError(ValueError):
     pass
 
 
-def _as_dense(g, field: Field):
-    """Accept a univariate MultiPoly or a dense coefficient list."""
+def _as_dense(g, field: Field, check: bool = True):
+    """Accept a univariate MultiPoly or a dense coefficient list; with check,
+    refuse a constant g or one with g(0) = 0."""
     if isinstance(g, MultiPoly):
         if g.ring != field:
             raise QPowError("polynomial ring does not match the field")
-        return dense_coeffs(g)
-    return unipoly.trim([field.elem(c).val for c in g])
-
-
-def _check_g(g):
-    if not g or len(g) < 2:
+        g = dense_coeffs(g)
+    else:
+        g = unipoly.trim([field.elem(c).val for c in g])
+    if check and len(g) < 2:
         raise QPowError("g must be nonconstant")
-    if g[0] == 0:
+    if check and g[0] == 0:
         raise QPowError("g(0) must be nonzero")
+    return g
+
+
+def _degree_and_multiplicity(g, field: Field):
+    """(d, mu) of g from one squarefree decomposition."""
+    g = _as_dense(g, field)
+    parts = unipoly.squarefree_decomposition(field, g)
+    # the parts are squarefree and coprime: their factors are the radical's
+    d = math.lcm(*(e for part, _ in parts
+                   for e in unipoly.distinct_degrees(field, part)))
+    return d, max(m for _, m in parts)
 
 
 def splitting_degree(g, field: Field) -> int:
@@ -52,18 +62,12 @@ def splitting_degree(g, field: Field) -> int:
     Computed as the lcm of the degrees of the distinct irreducible
     factors, via squarefree decomposition plus distinct-degree splitting.
     """
-    g = _as_dense(g, field)
-    _check_g(g)
-    rad = unipoly.radical(field, g)
-    degrees = unipoly.distinct_degrees(field, rad)
-    return math.lcm(*degrees)
+    return _degree_and_multiplicity(g, field)[0]
 
 
 def max_multiplicity(g, field: Field) -> int:
     """Largest multiplicity of an irreducible factor of g."""
-    g = _as_dense(g, field)
-    _check_g(g)
-    return max(m for _, m in unipoly.squarefree_decomposition(field, g))
+    return _degree_and_multiplicity(g, field)[1]
 
 
 # -- counting through the digit automaton -------------------------------------
@@ -95,7 +99,6 @@ def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int,
     The walk may discover at most state_cap automaton states.
     """
     g = _as_dense(g, field)
-    _check_g(g)
     n = _exponent(field, c, m_lo)
     alpha_val = _alpha_val(field, alpha)
     if m_hi < m_lo:
@@ -116,7 +119,7 @@ def power_census(g, field: Field, n: int):
     """Census of g^n: each nonzero coefficient value and its multiplicity."""
     if n < 0:
         raise QPowError("n must be nonnegative")
-    g = from_dense(_as_dense(g, field), field)
+    g = from_dense(_as_dense(g, field, check=False), field)
     return automaton.DigitAutomaton(g).census(n)
 
 
@@ -153,9 +156,7 @@ def fit_qpow_profile(g, field: Field, c: int, alpha,
     automaton, with at most state_cap states, counts all 3d exponents.
     """
     g = _as_dense(g, field)
-    _check_g(g)
-    d = splitting_degree(g, field)
-    mu = max_multiplicity(g, field)
+    d, mu = _degree_and_multiplicity(g, field)
     # smallest l >= 0 with q^l >= mu*c, i.e. ceil(log_q(mu*c))
     l = 0
     while field.q**l < mu * c:
@@ -187,7 +188,6 @@ def fit_qpow_profile(g, field: Field, c: int, alpha,
 def primitive_u_check(g, field: Field) -> Fraction:
     """The constant u = d q^(d-1) / (q^d - 1) for primitive g (c = 1)."""
     g = _as_dense(g, field)
-    _check_g(g)
     if not is_primitive(g, field):
         raise QPowError("g is not primitive")
     d = len(g) - 1

@@ -26,13 +26,6 @@ class RecurrenceError(ValueError):
     pass
 
 
-def _content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    return g
-
-
 @dataclass(frozen=True)
 class LinearRecurrence:
     """a_n = sum_{i=1..order} coeffs[i-1] * a_{n-i}, with the starting terms."""
@@ -71,15 +64,11 @@ class RationalGF:
 
     @staticmethod
     def make(num, den) -> "RationalGF":
-        num = list(num)
-        den = list(den)
-        while num and num[-1] == 0:
-            num.pop()
-        while den and den[-1] == 0:
-            den.pop()
+        num = unipoly.trim(list(num))
+        den = unipoly.trim(list(den))
         if not den:
             raise ValueError("zero denominator")
-        g = gcd(_content(num), _content(den))
+        g = gcd(*num, *den)
         if g > 1:
             num = [c // g for c in num]
             den = [c // g for c in den]

@@ -364,3 +364,57 @@ def test_nonfield_rejected():
 
     with pytest.raises(AutomatonError):
         build_automaton(parse_poly("1+x", 1, ZZ))
+
+
+POWER_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5), 7: Field(7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(POWER_FIELDS)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_packed_powers_match_sparse_products(q, k, data):
+    # f^0 .. f^(q-1) made on packed keys equal the sparse products, also
+    # when a seed widens the box and with it the packer's fields
+    field = POWER_FIELDS[q]
+    terms = st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * k),
+                     min_size=1, max_size=4, unique=True)
+    exps = data.draw(terms)
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    seed_exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=4 * q)] * k), max_size=2))
+    seeds = [MultiPoly(k, field, {e: 1 for e in seed_exps})]
+    A = DigitAutomaton(f, seeds=seeds)
+    power = MultiPoly.one(k, field)
+    for packed in A._f_pows_packed:
+        assert packed == A._packer.pack_terms(power)
+        power = power * f
+    assert len(A._f_pows_packed) == q
+
+
+def test_box_points_follow_product_order():
+    # bounds (q-1) deg_i f = (1, 2, 1), widened to (2, 2, 1) by the seed
+    A = build_automaton(parse_poly("1+x1+x2^2+x3", 3, F2),
+                        seeds=[parse_poly("x1^2", 3, F2)])
+    data = A.to_json_dict()
+    assert data["box_bounds"] == [2, 2, 1]
+    assert data["box_points"] == [
+        list(pt) for pt in itertools.product(range(3), range(3), range(2))]
+
+
+def test_construction_never_calls_the_sparse_product(monkeypatch):
+    cases = [(parse_poly("1+x1+x2+x1*x2^2", 2, F2), parse_poly("1+x1^3", 2, F2)),
+             (parse_poly("2+x+x^2", 1, F3), parse_poly("1+x^5", 1, F3)),
+             (parse_poly("1+2*x1+3*x1*x2^2", 2, F4), None)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automaton set-up called MultiPoly.mul")
+
+    monkeypatch.setattr(MultiPoly, "mul", refuse)
+    for f, seed in cases:
+        A = DigitAutomaton(f, seeds=[] if seed is None else [seed]).close()
+        assert A.count(7, 1) >= 0 and not A.column_sum_violations()

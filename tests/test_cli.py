@@ -1,9 +1,12 @@
+import decimal
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from coeffcount.cli import main, parse_field
+from coeffcount import cli
+from coeffcount.cli import MAX_EXPONENT_DIGITS, main, parse_field
 
 
 def run_cli(capsys, *argv):
@@ -234,3 +237,35 @@ def test_negative_repunit_length_refused(capsys, command):
                              "--n", "rep:-3")
     assert (code, out) == (1, "")
     assert "rep:m needs m >= 0, got -3" in err
+
+
+def test_exact_integers_past_the_decimal_digit_cap(capsys):
+    # 2^15000 has 4516 decimal digits, past Python's default 4300-digit cap
+    # on int <-> str; for f = 1 + x the count is 2^(digit sum of n)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run_cli(capsys, "automaton", "--field", "2", "--poly", "1+x",
+                           "--n", "rep:15000")
+    assert code == 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        assert json.loads(out)["count"] == str(decimal.Decimal(2) ** 15000)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["automaton", "--field", "2", "--poly", "1+x", "--n",
+      f"rep:{MAX_EXPONENT_DIGITS + 1}"], f"rep:m needs m <= {MAX_EXPONENT_DIGITS}"),
+    (["automaton", "--field", "2", "--poly", "1+x", "--n",
+      "9" * (MAX_EXPONENT_DIGITS + 1)], "exponent longer than"),
+    (["qpow", "--field", "2", "--g", "1+x+x^3", "--verify-upto",
+      str(10**9)], f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}"),
+])
+def test_long_exponents_refused_up_front(capsys, monkeypatch, argv, message):
+    # refused before any automaton is built or q-power profile fitted
+    def never(*args, **kwargs):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr(cli, "build_automaton", never)
+    monkeypatch.setattr(cli.qpow, "fit_qpow_profile", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and message in err
