@@ -219,10 +219,6 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def frobenius(self, a: int) -> int:
-        """The field automorphism a -> a^p."""
-        return self.pow(a, self.p)
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -12,12 +12,15 @@ are products of linear forms, expanded by `mpoly.linear_product`.
 Every weighted sum over ballot-bounded sequences is evaluated by one
 transfer DP over (position, prefix sum), `_ballot_sum`; the enumerators
 `draconian_sequences` and `lpath_sequences` list the sequences themselves
-and are the independent check of those sums.
+and are the independent check of those sums.  They and the direct
+polytope counts (`ps_points_direct`, `ps_interior_direct`,
+`weighted_polytope_sum`) all walk one prefix generator, `_prefixes`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from operator import mul
 
@@ -40,29 +43,34 @@ class LatticeError(ValueError):
 # -- ballot-bounded sequences ---------------------------------------------------
 
 
+def _prefixes(caps, low: int = 0):
+    """(y, caps[-1] - sum(y)) for every y in Z^(len(caps) - 1) with entries
+    >= low and y_1 + ... + y_j <= caps[j-1], in lexicographic order: the one
+    polytope walk here, depth first with an explicit stack, smallest child
+    on top, the last level yielded in place.  caps must not be empty."""
+    last, top = len(caps) - 1, caps[-1]
+    if not last:
+        yield (), top
+        return
+    stack = [((), 0)]
+    while stack:
+        prefix, psum = stack.pop()
+        j = len(prefix)
+        if j == last - 1:
+            for v in range(low, caps[j] - psum + 1):
+                yield prefix + (v,), top - psum - v
+        else:
+            stack.extend([(prefix + (v,), psum + v)
+                          for v in range(caps[j] - psum, low - 1, -1)])
+
+
 def _bounded_sequences(caps, total: int):
     """All k in N^len(caps) with k_1 + ... + k_j <= caps[j-1] and sum k =
-    total, in lexicographic order; the last cap must equal total.
-
-    Depth first over prefixes with an explicit stack, children pushed
-    largest value first so the smallest comes off next.  The last entry is
-    whatever the prefix leaves of total, which its cap always admits.
-    """
-    n = len(caps)
-    if not n:
+    total, in lexicographic order; the last cap must equal total, so the
+    last entry is whatever the prefix leaves of total."""
+    if not caps:
         return [()] if total == 0 else []
-    out = []
-    stack = [((), 0)]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        prefix, psum = pop()
-        j = len(prefix)
-        if j == n - 1:
-            out.append(prefix + (total - psum,))
-        else:
-            extend([(prefix + (v,), psum + v)
-                    for v in range(min(caps[j], total) - psum, -1, -1)])
-    return out
+    return [y + (rest,) for y, rest in _prefixes([min(cap, total) for cap in caps])]
 
 
 def _ballot_sum(caps, total: int, weight) -> int:
@@ -218,65 +226,27 @@ def catalan_inversion(n: int) -> int:
 
 def _prefix_bounds(ts):
     """bounds_i = t_n + ... + t_{n-i+1} (reversed partial sums)."""
-    rev = list(reversed(ts))
-    out = []
-    acc = 0
-    for v in rev:
-        acc += v
-        out.append(acc)
-    return out
+    return list(accumulate(reversed(ts)))
 
 
 def ps_points_direct(ts) -> int:
     """Count integer points y >= 0 with y_1 + ... + y_i <= t_n + ... + t_{n-i+1}.
 
-    Depth first over the prefixes y_1..y_i with an explicit stack of
-    (i, prefix sum); the last coordinate's admissible values are counted
-    at once.
+    Walks y_1..y_{n-1} with `_prefixes` and counts the last coordinate's
+    admissible values 0..slack at once.
     """
-    n = len(ts)
-    if n == 0:
+    if not ts:
         return 1
-    bounds = _prefix_bounds(ts)
-    if min(bounds) < 0:
-        return 0
-    count = 0
-    stack = [(0, 0)]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        i, psum = pop()
-        limit = bounds[i] - psum
-        if limit < 0:
-            continue
-        if i == n - 1:
-            count += limit + 1
-        else:
-            extend([(i + 1, psum + y) for y in range(limit + 1)])
-    return count
+    return sum(max(slack + 1, 0) for _, slack in _prefixes(_prefix_bounds(ts)))
 
 
 def ps_interior_direct(ts) -> int:
-    """Count integer points with y_i >= 1 and strict prefix-sum inequalities.
-
-    Explicit-stack depth first search, as in ps_points_direct.
-    """
-    n = len(ts)
-    if n == 0:
+    """Count integer points with y_i >= 1 and strict prefix-sum inequalities,
+    walked as in ps_points_direct."""
+    if not ts:
         return 1
-    bounds = _prefix_bounds(ts)
-    count = 0
-    stack = [(0, 0)]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        i, psum = pop()
-        limit = bounds[i] - 1 - psum
-        if limit < 1:
-            continue
-        if i == n - 1:
-            count += limit
-        else:
-            extend([(i + 1, psum + y) for y in range(1, limit + 1)])
-    return count
+    bounds = [b - 1 for b in _prefix_bounds(ts)]
+    return sum(max(slack, 0) for _, slack in _prefixes(bounds, 1))
 
 
 def ps_points_formula(ts) -> int:
@@ -470,21 +440,9 @@ def weighted_polytope_sum(n: int, k: int) -> int:
         return 1
     ts = [k + n - i for i in range(1, n)]
     ts[0] -= 1
-    bounds = _prefix_bounds(ts)
-    last = len(ts) - 1
-    total = 0
-    stack = [(0, 0)]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        i, psum = pop()
-        limit = bounds[i] - psum
-        if i == last:
-            # sum of 1 + y over y = 0 .. limit
-            if limit >= 0:
-                total += (limit + 1) * (limit + 2) // 2
-        else:
-            extend([(i + 1, psum + y) for y in range(limit + 1)])
-    return total
+    # sum of 1 + y over y = 0 .. slack
+    return sum((slack + 1) * (slack + 2) // 2
+               for _, slack in _prefixes(_prefix_bounds(ts)) if slack >= 0)
 
 
 def staircase_grid_report(n_max: int, k_max: int):

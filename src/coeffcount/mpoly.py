@@ -223,43 +223,12 @@ class MultiPoly:
     def __mul__(self, other):
         return self.mul(other)
 
-    def frobenius(self):
-        """Over a field of characteristic p: f -> f^p, exactly.
-
-        Exponents scale by p and coefficients map through a -> a^p.
-        """
-        ring = self.ring
-        if not isinstance(ring, Field):
-            raise ValueError("frobenius needs a finite-field coefficient ring")
-        p = ring.p
-        out = {
-            tuple(e * p for e in exp): ring.frobenius(c)
-            for exp, c in self.terms.items()
-        }
-        return MultiPoly(self.k, ring, out, _clean=True)
-
     def pow(self, n: int, budget: int | None = None):
-        """f^n, using the base-p digit decomposition over char-p fields."""
+        """f^n by square-and-multiply over every ring, each product one `mul`
+        bounded by budget; `automaton` counts powers over F_q by digits."""
         if n < 0:
             raise ValueError("negative exponent")
-        if n == 0:
-            return MultiPoly.one(self.k, self.ring)
-        ring = self.ring
-        if isinstance(ring, Field):
-            p = ring.p
-            result = MultiPoly.one(self.k, ring)
-            base = self
-            while n:
-                digit = n % p
-                n //= p
-                piece = MultiPoly.one(self.k, ring)
-                for _ in range(digit):
-                    piece = piece.mul(base, budget)
-                result = result.mul(piece, budget)
-                if n:
-                    base = base.frobenius()
-            return result
-        result = MultiPoly.one(self.k, ring)
+        result = MultiPoly.one(self.k, self.ring)
         base = self
         while n:
             if n & 1:

@@ -57,14 +57,26 @@ def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
-    """Censuses of f^0, f^1, ..., f^n_max by one repeated-multiplication ladder."""
+def _ladder(f: MultiPoly, n: int, budget: int | None):
+    """The budget and packed factor of a ladder of n products by f, refused
+    before the first product when n * max(|f|, 1) > budget: each product
+    visits at least |f| term pairs."""
     if budget is None:
         budget = DEFAULT_TERM_BUDGET
+    if n < 0:
+        raise ValueError("negative exponent")
+    if n * max(f.num_terms, 1) > budget:
+        raise BudgetError(
+            f"{n} products by {f.num_terms} terms exceed the term budget {budget}")
     if f.is_zero():
-        return [{f.ring.one: 1}] + [{} for _ in range(n_max)]
-    packer = ExponentPacker([d * max(n_max, 1) for d in f.var_degrees()])
-    factor = packer.pack_terms(f)
+        return budget, []
+    packer = ExponentPacker([d * max(n, 1) for d in f.var_degrees()])
+    return budget, packer.pack_terms(f)
+
+
+def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
+    """Censuses of f^0, f^1, ..., f^n_max by one repeated-multiplication ladder."""
+    budget, factor = _ladder(f, n_max, budget)
     acc = {0: f.ring.one}
     out = [_census_of(acc.values())]
     for _ in range(n_max):
@@ -76,10 +88,15 @@ def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
 def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = None):
     """Number of coefficients of f^n equal to alpha (or the full census).
 
-    alpha may be an integer (a field encoding, or a plain integer over ZZ)
-    or a FieldElem; with alpha=None the whole census dict is returned.
+    Expands f^n by n products into one accumulator.  alpha may be an
+    integer (a field encoding, or a plain integer over ZZ) or a FieldElem;
+    with alpha=None the whole census dict is returned.
     """
-    census = power_census_series(f, n, budget)[n]
+    budget, factor = _ladder(f, n, budget)
+    acc = {0: f.ring.one}
+    for _ in range(n):
+        acc = _mul_packed(acc, factor, f.ring, budget)
+    census = _census_of(acc.values())
     if alpha is None:
         return census
     if isinstance(f.ring, Field):

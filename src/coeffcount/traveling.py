@@ -6,10 +6,12 @@ powers prod (x_i + ... + x_{i+k})^m with their binomial transfer matrix,
 and several one-off families counted alongside a brute-force expansion.
 Every multivariate product here is a product of linear forms, expanded by
 `mpoly.linear_product` one factor at a time; the univariate `j_poly` keeps
-its own loop.  The generating functions are `ratgen.RationalGF`s built
-with `unipoly.mul` over `mpoly.ZZ`: the window-power denominator is
-`theta_charpoly` reversed, and its numerator is that denominator times
-the first k counts, truncated to k terms.
+its own loop.  The univariate chain check counts (1 + x + x^p)^e through
+`automaton.DigitAutomaton`, never expanding the power.  The generating
+functions are `ratgen.RationalGF`s built with `unipoly.mul` over
+`mpoly.ZZ`: the window-power denominator is `theta_charpoly` reversed, and
+its numerator is that denominator times the first k counts, truncated to
+k terms.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from . import unipoly
+from .automaton import DigitAutomaton
 from .combinat import narayana
 from .ffield import Field
 from .mpoly import ZZ, MultiPoly, linear_product
@@ -53,17 +56,14 @@ def h_poly(p: int, n: int) -> MultiPoly:
 
 
 def univariate_chain_check(p: int, n_max: int) -> bool:
-    """N((1 + x + x^p)^((p^n-1)/(p-1))) over F_p matches the chain series."""
+    """N((1 + x + x^p)^((p^n-1)/(p-1))) over F_p, read off the digit
+    automaton of 1 + x + x^p, matches the chain series."""
     if p < 3:
         raise TravelingError("needs an odd prime")
-    field = Field(p)
     series = h_seq(p, n_max + 1)
-    g = MultiPoly(1, field, {(0,): 1, (1,): 1, (p,): 1})
-    for n in range(n_max + 1):
-        e = (p**n - 1) // (p - 1)
-        if g.pow(e).num_terms != series[n]:
-            return False
-    return True
+    A = DigitAutomaton(MultiPoly(1, Field(p), {(0,): 1, (1,): 1, (p,): 1}))
+    return all(sum(A.census((p**n - 1) // (p - 1)).values()) == series[n]
+               for n in range(n_max + 1))
 
 
 # -- traveling products ------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coeffcount import cli
+from coeffcount import cli, oracle
 from coeffcount.cli import MAX_EXPONENT_DIGITS, main, parse_field
 
 
@@ -90,6 +90,26 @@ def test_oracle_command_pass_and_fail_line(capsys):
     assert "PASS" in err
     data = json.loads(out)
     assert data["oracle"] == data["automaton"] == "46"
+
+
+def test_oracle_refuses_a_ladder_past_the_budget(capsys, monkeypatch):
+    # 10^8 products by 1+x exceed the default term budget: refused before
+    # the first product, so the command returns at once
+    def never(*args, **kwargs):
+        raise AssertionError("the ladder started")
+
+    monkeypatch.setattr(oracle, "_mul_packed", never)
+    code, out, err = run_cli(capsys, "oracle", "--field", "2", "--poly", "1+x",
+                             "--n", "100000000")
+    assert (code, out) == (1, "")
+    assert err == ("error: 100000000 products by 2 terms exceed the term "
+                   "budget 10000000\n")
+
+
+def test_oracle_refuses_a_negative_exponent(capsys):
+    # over ZZ the exponent is a plain int; f^-1 is refused, not read off f^0
+    code, out, err = run_cli(capsys, "oracle", "--poly", "1+x", "--n", "-1")
+    assert (code, out, err) == (1, "", "error: negative exponent\n")
 
 
 def test_oracle_product(capsys):
@@ -196,9 +216,14 @@ GOLDEN = Path(__file__).parent / "golden"
     ("genfun_from_automaton_f2_k2_111",
      "genfun --from-automaton 1+x1*x2^3+x1^2+x1^2*x2^3+x1^3*x2^2 --k 2 --field 2"),
     ("qpow_f2_quintic_verify10", "qpow --field 2 --g 1+x^2+x^5 --verify-upto 10"),
+    # the one prefix walk behind the lattice enumerators, byte for byte
+    ("lattice_draconian_n6", "lattice draconian --n 6"),
+    ("lattice_ps_0213", "lattice ps --t-vec 0,2,1,3"),
+    ("lattice_ex433_n3_s2", "lattice ex433 --n 3 --s 2"),
 ])
 def test_golden_stdout(capsys, name, argv):
-    # the state order of a closed automaton and the q-power read-off, byte for byte
+    # the state order of a closed automaton, the q-power read-off and the
+    # lattice enumerations, byte for byte
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()

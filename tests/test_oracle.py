@@ -1,6 +1,7 @@
 import pytest
 
 from coeffcount.ffield import Field
+from coeffcount import oracle
 from coeffcount.mpoly import BudgetError, MultiPoly, ZZ, parse_poly
 from coeffcount.oracle import (
     brute_power_census,
@@ -71,6 +72,25 @@ def test_zero_polynomial_series():
     series = power_census_series(z, 3)
     assert series[0] == {1: 1}
     assert series[1] == {} and series[3] == {}
+    assert brute_power_census(z, 0) == {1: 1} and brute_power_census(z, 3) == {}
+
+
+def test_ladder_length_refused_before_the_first_product(monkeypatch):
+    # n products by |f| terms visit at least n |f| term pairs
+    def never(*args, **kwargs):
+        raise AssertionError("the ladder started")
+
+    monkeypatch.setattr(oracle, "_mul_packed", never)
+    f = parse_poly("1+x", 1, F2)
+    for call in (brute_power_census, power_census_series):
+        with pytest.raises(BudgetError, match="100000000 products by 2 terms"):
+            call(f, 10**8)
+        with pytest.raises(BudgetError):
+            call(f, 6, budget=11)
+    with pytest.raises(BudgetError):
+        power_census_series(MultiPoly.zero(1, F2), 12, budget=11)
+    monkeypatch.undo()
+    assert brute_power_census(f, 5, budget=10) == {1: 4}
 
 
 def test_budget_enforced():
