@@ -24,6 +24,7 @@ the certified counts disagree with them:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -105,15 +106,6 @@ def corpus_ladder(name: str, n_max: int = 64):
 @lru_cache(maxsize=None)
 def corpus_fit(name: str):
     return fit_repunit_genfun(corpus_automaton(name), 1)
-
-
-def _gf_with_denominator(seq, den) -> RationalGF:
-    """The rational function with the given denominator fitting seq."""
-    head = seq[:len(den) - 1]
-    gf = RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
-    if gf.expand(len(seq)) != list(seq):
-        raise ValueError("denominator does not fit the sequence")
-    return gf
 
 
 # -- criterion 1: automaton vs oracle ------------------------------------------
@@ -226,7 +218,8 @@ def check_c3():
         ))
     for name, den in C3_OPERATORS.items():
         seq, rec, gf = corpus_fit(name)
-        ok = genfun_equal_as_series(gf, _gf_with_denominator(seq, den))
+        ok = genfun_equal_as_series(
+            gf, RationalGF.with_denominator(den, seq[:len(den) - 1]))
         out.append((f"fitted GF of {name} satisfies the printed operator", ok,
                     f"order {rec.order}"))
     for name, form in C3_CLOSED.items():
@@ -249,8 +242,6 @@ def _qpow_profile(gtext: str, fkey: str, c: int, alpha: int, cube: bool = False)
     field = FIELDS[fkey]
     g = dense_coeffs(parse_poly(gtext, 1, field))
     if cube:
-        from . import unipoly
-
         g = unipoly.mul(field, unipoly.mul(field, g, g), g)
     return qpow.fit_qpow_profile(g, field, c, alpha), g, field
 
@@ -589,9 +580,7 @@ def check_c7():
         for s in range(1, 4):
             total = 0
             for lam in partitions(n - 1):
-                mult = {}
-                for part in lam:
-                    mult[part] = mult.get(part, 0) + 1
+                mult = Counter(lam)
                 M = sum(mult.values())
                 coef = comb(n, M) * factorial(M)
                 for m in mult.values():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import closed_forms, lattice, qpow, traveling
 from .automaton import DEFAULT_STATE_CAP, AutomatonError, build_automaton
@@ -58,10 +57,6 @@ def _json_int(x) -> str:
 def _json_gf(gf) -> dict:
     return {"numerator": [str(c) for c in gf.num],
             "denominator": [str(c) for c in gf.den]}
-
-
-def _json_frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def emit(obj) -> None:
@@ -113,7 +108,7 @@ def cmd_genfun(args) -> int:
         raise ValueError("need --seq or --from-automaton")
     emit({
         **_json_gf(gf),
-        "recurrence": [_json_frac(c) for c in rec.coeffs],
+        "recurrence": [str(c) for c in rec.coeffs],
         "order": rec.order,
         "terms": [str(v) for v in seq],
     })
@@ -130,8 +125,8 @@ def cmd_qpow(args) -> int:
         "d": prof.d,
         "mu": prof.mu,
         "l": prof.l,
-        "u": [_json_frac(x) for x in prof.u],
-        "v": [_json_frac(x) for x in prof.v],
+        "u": [str(x) for x in prof.u],
+        "v": [str(x) for x in prof.v],
     }
     if args.verify_upto is not None:
         counts = qpow.qpow_counts(g, field, args.c, args.alpha, prof.l,

@@ -9,6 +9,7 @@ coefficients of (1 + x + x^2)^n.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import zip_longest
 from math import comb, prod
 
@@ -44,10 +45,7 @@ def binomial_row_census(n: int, p: int):
     total = 1
     for a in base_digits(n, p) or [0]:
         total *= 1 + a
-        step = {}
-        for b in range(a + 1):
-            val = comb(a, b) % p
-            step[val] = step.get(val, 0) + 1
+        step = Counter(comb(a, b) % p for b in range(a + 1))
         new = {}
         for cls, cnt in dist.items():
             for val, mult in step.items():

@@ -456,20 +456,12 @@ def staircase_grid_report(n_max: int, k_max: int):
     correspondence stays visible.
     """
     R = ratio_matrix(n_max + k_max + 2)
-
-    def fmt(entry):
-        return (
-            str(entry.numerator)
-            if entry.denominator == 1
-            else f"{entry.numerator}/{entry.denominator}"
-        )
-
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             count = staircase_power_poly(n, k).num_terms
             rows.append(
-                (n, k, count, fmt(R[n][k]), fmt(R[n + k][k]),
+                (n, k, count, str(R[n][k]), str(R[n + k][k]),
                  weighted_polytope_sum(n, k))
             )
     return rows

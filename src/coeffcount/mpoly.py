@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections import Counter
 
 from .ffield import Field
 
@@ -152,10 +153,7 @@ class MultiPoly:
 
     def coeff_census(self):
         """Map each distinct nonzero coefficient value to its multiplicity."""
-        census = {}
-        for c in self._held().values():
-            census[c] = census.get(c, 0) + 1
-        return census
+        return Counter(self._held().values())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -435,7 +433,11 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
             return ("var", idx, e)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    def read_term(sign: int) -> MultiPoly:
+    terms = {}
+
+    def add_term(sign: int):
+        """Read one term into terms by the order rule of `+`: a repeated
+        exponent updates its term in place, and a zero sum deletes it."""
         nonlocal pos
         coeff = ring.one
         exps = [0] * k
@@ -453,9 +455,13 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
             break
         if sign < 0:
             coeff = ring.neg(coeff)
-        if not coeff:
-            return MultiPoly.zero(k, ring)
-        return MultiPoly(k, ring, {tuple(exps): coeff})
+        exp = tuple(exps)
+        if exp in terms:
+            coeff = ring.add(terms[exp], coeff)
+            if not coeff:
+                del terms[exp]
+        if coeff:
+            terms[exp] = coeff
 
     skip_ws()
     if pos >= n:
@@ -464,7 +470,7 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
     if s[pos] in "+-":
         sign = -1 if s[pos] == "-" else 1
         pos += 1
-    result = read_term(sign)
+    add_term(sign)
     while True:
         skip_ws()
         if pos >= n:
@@ -476,6 +482,6 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
         else:
             raise ParseError(f"unexpected character {s[pos]!r}", pos)
         pos += 1
-        result = result + read_term(sign)
-    return result
+        add_term(sign)
+    return MultiPoly(k, ring, terms, _clean=True)
 

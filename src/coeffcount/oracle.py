@@ -13,15 +13,10 @@ operation tables (q <= 256) the convolution indexes them inline.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .ffield import Field
 from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, ExponentPacker, MultiPoly
-
-
-def _census_of(packed_terms_values):
-    census = {}
-    for c in packed_terms_values:
-        census[c] = census.get(c, 0) + 1
-    return census
 
 
 def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
@@ -78,10 +73,10 @@ def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
     """Censuses of f^0, f^1, ..., f^n_max by one repeated-multiplication ladder."""
     budget, factor = _ladder(f, n_max, budget)
     acc = {0: f.ring.one}
-    out = [_census_of(acc.values())]
+    out = [Counter(acc.values())]
     for _ in range(n_max):
         acc = _mul_packed(acc, factor, f.ring, budget)
-        out.append(_census_of(acc.values()))
+        out.append(Counter(acc.values()))
     return out
 
 
@@ -96,7 +91,7 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
     acc = {0: f.ring.one}
     for _ in range(n):
         acc = _mul_packed(acc, factor, f.ring, budget)
-    census = _census_of(acc.values())
+    census = Counter(acc.values())
     if alpha is None:
         return census
     if isinstance(f.ring, Field):
@@ -126,5 +121,5 @@ def brute_product_census(factors, budget: int | None = None):
     acc = {0: ring.one}
     for g in factors:
         acc = _mul_packed(acc, packer.pack_terms(g), ring, budget)
-    census = _census_of(acc.values())
+    census = Counter(acc.values())
     return len(acc), census

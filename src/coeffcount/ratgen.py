@@ -79,6 +79,12 @@ class RationalGF:
             raise ValueError(f"denominator constant term {den[0]} != 1")
         return RationalGF(tuple(num), tuple(den))
 
+    @staticmethod
+    def with_denominator(den, head) -> "RationalGF":
+        """num/den with num = den * head truncated to len(head) terms: the
+        series starts with head, and the numerator has no further terms."""
+        return RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
+
     def expand(self, terms: int):
         """First `terms` Taylor coefficients, exact integers."""
         out = []
@@ -201,8 +207,7 @@ def seq_to_genfun(seq, rec: LinearRecurrence) -> RationalGF:
         if Fraction(c).denominator != 1:
             raise RecurrenceError(f"recurrence coefficient {c} is not an integer")
     den = [1] + [-int(c) for c in rec.coeffs]
-    head = seq[:rec.order]
-    return RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
+    return RationalGF.with_denominator(den, seq[:rec.order])
 
 
 def fit_repunit_genfun(automaton, alpha):

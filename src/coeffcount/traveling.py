@@ -229,7 +229,7 @@ def window_power_genfun(k: int, m: int) -> RationalGF:
         phis.append(sum(col))
         col = [sum(A[i][j] * col[j] for j in range(size)) for i in range(size)]
     den = theta_charpoly(k, m)[::-1]
-    return RationalGF.make(unipoly.mul(ZZ, den, phis)[:len(phis)], den)
+    return RationalGF.with_denominator(den, phis)
 
 
 def window_power_poly(n: int, k: int, m: int) -> MultiPoly:
@@ -319,12 +319,10 @@ def duplication_report(n_max: int):
     d_cache = {m: d_count(m, 2) for m in range(0, n_max - 1)}
     rows = []
     for n in range(3, n_max + 1):
-        half = Fraction(nu[n], 2)
-        half_str = str(half.numerator) if half.denominator == 1 else str(half)
         rows.append((
             n,
             nu[n],
-            half_str,
+            str(Fraction(nu[n], 2)),
             d_cache.get(n - 2),
             d_cache.get(n - 3),
         ))

@@ -2,7 +2,7 @@
 
 Polynomials are plain lists of ring elements, constant term first, with
 no trailing zeros (the zero polynomial is []).  `add`, `sub` and `mul`
-need only the ring's add/sub/mul, so they serve any ring with that
+need only the ring's add/neg/mul, so they serve any ring with that
 protocol: the finite fields (elements as integer encodings) and
 `mpoly.ZZ`, whose integer polynomials are the numerators and
 denominators of `ratgen.RationalGF`.  Everything else (division, gcd,
@@ -40,13 +40,7 @@ def add(F, a, b):
 
 
 def sub(F, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = F.sub(x, y)
-    return trim(out)
+    return add(F, a, [F.neg(y) for y in b])
 
 
 def scalar_mul(F, c, a):
@@ -141,28 +135,11 @@ def pth_root(F, a):
 
 
 def is_irreducible(F, a) -> bool:
-    """Rabin's test over F_q."""
-    a = monic(F, trim(list(a)))
-    n = deg(a)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = F.q
-    x = [0, 1]
-    # x^(q^n) == x (mod a)
-    w = x
-    for _ in range(n):
-        w = powmod(F, w, q, a)
-    if sub(F, w, x):
-        return False
-    for ell in prime_factors(n):
-        w = x
-        for _ in range(n // ell):
-            w = powmod(F, w, q, a)
-        if deg(gcd(F, sub(F, w, x), a)) != 0:
-            return False
-    return True
+    """True iff a has degree n > 0 and its distinct-degree split is [n]:
+    a reducible polynomial has an irreducible factor of degree <= n/2,
+    which `distinct_degrees` finds before it stops."""
+    a = trim(list(a))
+    return deg(a) > 0 and distinct_degrees(F, a) == [deg(a)]
 
 
 def prime_factors(n: int):

@@ -60,6 +60,16 @@ def test_c3_printed_gf_of_family_viii():
     _run("C3(viii)", clauses)
 
 
+def test_c3_operator_that_does_not_fit_fails_its_clause(monkeypatch):
+    # a wrong printed operator reads FAIL in its own clause; the rest of
+    # the criterion still runs
+    monkeypatch.setitem(acceptance.C3_OPERATORS, "iv", [1, -6, 8])
+    clauses = {c: ok for c, ok, _ in acceptance.check_c3()}
+    assert not clauses["fitted GF of iv satisfies the printed operator"]
+    assert clauses["fitted GF of v satisfies the printed operator"]
+    assert clauses["repunit counts of v4 match the closed form"]
+
+
 def test_c4_qpow_profiles():
     _run("C4", acceptance.check_c4())
 

@@ -220,6 +220,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("lattice_draconian_n6", "lattice draconian --n 6"),
     ("lattice_ps_0213", "lattice ps --t-vec 0,2,1,3"),
     ("lattice_ex433_n3_s2", "lattice ex433 --n 3 --s 2"),
+    # the halves nu_n / 2 as text, the Fraction recurrence of a BM fit over Q,
+    # and the oracle's census
+    ("traveling_d_counts_n10_k2", "traveling d-counts --n 10 --k 2"),
+    ("genfun_seq_fibonacci_bisection", "genfun --seq 1,3,8,21,55,144,377"),
+    ("oracle_f3_k3_three_factors",
+     "oracle --field 3 --factors 1+x1+x2;1+x2+x3;2+x1*x3 --k 3"),
 ])
 def test_golden_stdout(capsys, name, argv):
     # the state order of a closed automaton, the q-power read-off and the

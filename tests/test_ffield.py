@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from coeffcount import unipoly
 from coeffcount.ffield import (
     Field,
     FieldError,
@@ -70,6 +73,53 @@ def test_find_irreducible_has_no_roots(p, r):
         assert val != 0
     # and constructing the field with it validates irreducibility
     Field(p, r, mod)
+
+
+def _monic_polys(field, d):
+    """Monic polynomials of degree d, ascending in a_0 + a_1 q + ... as
+    find_irreducible scans them."""
+    for v in range(field.q**d):
+        coeffs = []
+        for _ in range(d):
+            v, c = divmod(v, field.q)
+            coeffs.append(c)
+        yield coeffs + [1]
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(field, d):
+    return [a for a in _monic_polys(field, d) if _irreducible_by_trial_division(field, a)]
+
+
+def _irreducible_by_trial_division(field, a):
+    """The reference: no monic polynomial of degree 1..n/2 divides a.  A
+    divisor has an irreducible factor of no larger degree, so only the
+    irreducible ones, found the same way, are tried."""
+    n = unipoly.deg(a)
+    return n > 0 and all(unipoly.mod(field, a, g)
+                         for d in range(1, n // 2 + 1)
+                         for g in _irreducibles(field, d))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_is_irreducible_matches_trial_division(field):
+    for d in range(7):
+        for a in _monic_polys(field, d):
+            assert unipoly.is_irreducible(field, a) == \
+                _irreducible_by_trial_division(field, a), a
+    # the answer ignores a scalar factor and trailing zeros
+    for a in _monic_polys(field, 3):
+        scaled = unipoly.scalar_mul(field, field.q - 1, a) + [0]
+        assert unipoly.is_irreducible(field, scaled) == unipoly.is_irreducible(field, a)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2),
+                                 (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_find_irreducible_is_first_by_trial_division(p, r):
+    prime = Field(p)
+    first = next(a for a in _monic_polys(prime, r)
+                 if _irreducible_by_trial_division(prime, a))
+    assert find_irreducible(p, r) == tuple(first)
 
 
 def test_bad_modulus_rejected():

@@ -53,6 +53,46 @@ def test_parse_errors():
     assert err is not None and err.pos == 4
 
 
+def test_parse_collects_terms_without_polynomial_sums(monkeypatch):
+    # one dict for the whole sum: a fold with + would copy it per term
+    def no_add(self, other):
+        raise AssertionError("parse_poly added polynomials")
+
+    monkeypatch.setattr(MultiPoly, "__add__", no_add)
+    f = parse_poly("+".join(f"x^{e}" for e in range(3000)), 1, F2)
+    assert list(f.terms) == [(e,) for e in range(3000)]
+
+
+_term_factor = st.one_of(
+    st.integers(0, 3),
+    st.tuples(st.integers(1, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ZZ, F3, F4]),
+       st.lists(st.tuples(st.booleans(), st.lists(_term_factor, min_size=1, max_size=3)),
+                min_size=1, max_size=12))
+def test_parse_matches_a_sum_of_single_terms(ring, signed_terms):
+    # terms, their order and cancellation as a + fold of one-term polynomials
+    texts = []
+    expected = MultiPoly.zero(2, ring)
+    for negative, factors in signed_terms:
+        coeff, exps = ring.one, [0, 0]
+        for fac in factors:
+            if isinstance(fac, int):
+                coeff = ring.mul(coeff, fac % ring.q if ring is F3 else fac)
+            else:
+                exps[fac[0] - 1] += fac[1]
+        if negative:
+            coeff = ring.neg(coeff)
+        expected = expected + MultiPoly(2, ring, {tuple(exps): coeff})
+        texts.append(("-" if negative else "+") + "*".join(
+            str(fac) if isinstance(fac, int) else f"x{fac[0]}^{fac[1]}" for fac in factors))
+    f = parse_poly("".join(texts), 2, ring)
+    assert list(f.terms.items()) == list(expected.terms.items())
+
+
 def test_mul_cancellation():
     a = parse_poly("1+x1+x2", 3, F2)
     b = parse_poly("1+x2+x3", 3, F2)

@@ -78,6 +78,18 @@ def test_series_equality():
     )
 
 
+def test_with_denominator():
+    # a head as long as the order: Fibonacci from 0, 1
+    gf = RationalGF.with_denominator([1, -1, -1], [0, 1])
+    assert gf == RationalGF.make([0, 1], [1, -1, -1])
+    assert gf.expand(6) == [0, 1, 1, 2, 3, 5]
+    # a head one term shorter than the order, as window_power_genfun
+    # passes it: the numerator stops after the head
+    gf = RationalGF.with_denominator([1, -3, 1], [1])
+    assert gf == RationalGF.make([1], [1, -3, 1])
+    assert gf.expand(5) == [1, 3, 8, 21, 55]
+
+
 def test_make_normalizes():
     gf = RationalGF.make([2, 2], [2, -4])
     assert gf.num == (1, 1) and gf.den == (1, -2)
