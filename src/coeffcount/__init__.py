@@ -9,7 +9,7 @@ arithmetic, cross-checkable against a brute-force expansion oracle.
 """
 
 from .automaton import DigitAutomaton, build_automaton
-from .ffield import Field, FieldElem, find_irreducible, is_primitive
+from .ffield import Field, find_irreducible, is_primitive
 from .mpoly import MultiPoly, ZZ, parse_poly
 from .oracle import brute_power_census, brute_product_census
 from .qpow import QPowProfile, count_qpow, fit_qpow_profile, splitting_degree
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DigitAutomaton",
     "Field",
-    "FieldElem",
     "LinearRecurrence",
     "MultiPoly",
     "QPowProfile",

@@ -455,15 +455,6 @@ def check_c6():
 # -- criterion 7: lattice counts ----------------------------------------------------
 
 
-def _weakly_decreasing(n, maxpart):
-    if n == 0:
-        yield ()
-        return
-    for first in range(maxpart + 1):
-        for rest in _weakly_decreasing(n - 1, first):
-            yield (first,) + rest
-
-
 def check_c7():
     out = []
     bad = [n for n in range(13)
@@ -473,10 +464,12 @@ def check_c7():
 
     bad = []
     for n in range(1, 7):
-        for parts in _weakly_decreasing(n, 6):
-            # the same product, narrowest factor first: the partial
-            # products stay small, which halves the time of this clause
-            poly = lattice.nested_sum_product(parts[::-1])
+        for narrow_first in itertools.combinations_with_replacement(range(7), n):
+            # parts weakly decreasing; the product is made narrowest factor
+            # first: the partial products stay small, which halves the time
+            # of this clause
+            parts = narrow_first[::-1]
+            poly = lattice.nested_sum_product(narrow_first)
             if lattice.distinct_monomial_count(parts) != poly.num_terms:
                 bad.append(parts)
     out.append(("nested-sum monomial counts match expansion (n <= 6, parts <= 6)",

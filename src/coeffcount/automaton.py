@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from . import modular
-from .ffield import _TABLE_LIMIT, Field, FieldElem
+from .ffield import _TABLE_LIMIT, Field
 from .mpoly import ExponentPacker, MultiPoly
 
 DEFAULT_STATE_CAP = 100_000
@@ -228,12 +228,7 @@ class DigitAutomaton:
     # -- vectors ---------------------------------------------------------
 
     def _alpha_encoding(self, alpha) -> int:
-        if isinstance(alpha, FieldElem):
-            alpha = alpha.val if alpha.field == self.field else None
-            if alpha is None:
-                raise AutomatonError("alpha belongs to a different field")
-        else:
-            alpha = self.field.elem(alpha).val
+        alpha = self.field.encoding(alpha)
         if alpha == 0:
             raise ValueError(
                 "alpha must be nonzero; zero-coefficient counts follow from "

@@ -2,9 +2,9 @@
 
 Elements are encoded as integers in [0, q): the element with
 polynomial-basis coordinates (c_0, ..., c_{r-1}) is encoded as
-sum(c_i * p**i).  All ``Field`` methods operate on these encodings,
-which keeps the inner loops of the polynomial kernels cheap; the
-``FieldElem`` wrapper offers operator syntax on top.
+sum(c_i * p**i).  Every layer holds elements as these plain integers,
+which keeps the inner loops of the polynomial kernels cheap, and
+``Field.encoding`` is the one rule that turns an input integer into one.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class Field:
         self.p = p
         self.r = r
         self.q = q
-        self.char = p
         self.one = 1
         if r == 1:
             self.modulus = (0, 1)  # the polynomial x; unused for prime fields
@@ -99,28 +98,15 @@ class Field:
             a //= p
         return tuple(out)
 
-    def encode(self, coeffs) -> int:
-        if len(coeffs) > self.r:
-            raise FieldError("too many coordinates")
-        val = 0
-        for c in reversed(list(coeffs)):
-            val = val * self.p + (int(c) % self.p)
-        return val
-
-    def elem(self, value) -> "FieldElem":
-        """Make a FieldElem from an encoding, a coordinate list, or an int."""
-        if isinstance(value, FieldElem):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value
-        if isinstance(value, (list, tuple)):
-            return FieldElem(self, self.encode(value))
+    def encoding(self, value) -> int:
+        """The encoding of an input integer: reduced mod p in a prime field;
+        in an extension field it must already lie in [0, q)."""
         value = int(value)
         if self.r == 1:
-            return FieldElem(self, value % self.p)
+            return value % self.p
         if not 0 <= value < self.q:
             raise FieldError(f"encoding {value} out of range for F_{self.q}")
-        return FieldElem(self, value)
+        return value
 
     # -- arithmetic on encodings ------------------------------------------
 
@@ -216,9 +202,6 @@ class Field:
             raise ZeroDivisionError("division by zero in finite field")
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -236,85 +219,6 @@ class Field:
         if self.r == 1:
             return f"Field({self.p})"
         return f"Field({self.p}, {self.r})"
-
-
-class FieldElem:
-    """A single element of a Field; thin wrapper over the integer encoding."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: Field, val: int):
-        self.field = field
-        self.val = val
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.val)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise FieldError("mismatched fields")
-            return other.val
-        return self.field.elem(other).val
-
-    def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.val, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.val, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElem(self.field, self.field.sub(self._coerce(other), self.val))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.val))
-
-    def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.val, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElem(self.field, self.field.div(self.val, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElem(self.field, self.field.div(self._coerce(other), self.val))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow(self.val, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field == other.field and self.val == other.val
-        if isinstance(other, int):
-            return self == self.field.elem(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        if self.field.r == 1:
-            return f"F{self.field.p}({self.val})"
-        names = {0: "0", 1: "1"}
-        if self.val in names:
-            return f"F{self.field.q}({names[self.val]})"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}a" if i == 1 else f"{head}a^{i}")
-        return f"F{self.field.q}({'+'.join(parts)})"
 
 
 def find_irreducible(p: int, r: int):

@@ -19,7 +19,7 @@ import operator
 import struct
 from collections import Counter
 
-from .ffield import Field
+from .ffield import Field, FieldError
 
 DEFAULT_TERM_BUDGET = 10**7
 
@@ -37,7 +37,6 @@ class ParseError(ValueError):
 class IntegerRing:
     """Coefficient-ring protocol for plain integers."""
 
-    char = 0
     one = 1
 
     # builtins, so that the product loop makes no Python-level call over ZZ
@@ -374,8 +373,9 @@ def from_dense(coeffs, ring) -> MultiPoly:
 #          factor:= INT | var
 #          var   := 'x' [INT] ['^' INT]   (bare 'x' only when k = 1)
 #
-# Integer literals over F_p reduce mod p; over an extension field they are
-# element encodings and must lie in [0, q).  Whitespace is ignored.
+# Integer literals become coefficients by Field.encoding: over F_p they
+# reduce mod p, over an extension field they must lie in [0, q).  Whitespace
+# is ignored.
 
 
 def parse_poly(text: str, k: int, ring) -> MultiPoly:
@@ -397,16 +397,14 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
             raise ParseError("expected an integer", start)
         return int(s[start:pos])
 
-    def coeff_from_int(c: int):
-        if isinstance(ring, Field):
-            if ring.r == 1:
-                return c % ring.p
-            if not 0 <= c < ring.q:
-                raise ParseError(
-                    f"coefficient {c} is not an element encoding of F_{ring.q}", pos
-                )
+    def read_coeff():
+        c = read_int()
+        if not isinstance(ring, Field):
             return c
-        return c
+        try:
+            return ring.encoding(c)
+        except FieldError as exc:
+            raise ParseError(str(exc), pos) from None
 
     def read_factor():
         nonlocal pos
@@ -415,7 +413,7 @@ def parse_poly(text: str, k: int, ring) -> MultiPoly:
             raise ParseError("unexpected end of input", pos)
         ch = s[pos]
         if ch.isdigit():
-            return ("coeff", coeff_from_int(read_int()))
+            return ("coeff", read_coeff())
         if ch == "x":
             pos += 1
             if pos < n and s[pos].isdigit():

@@ -83,9 +83,9 @@ def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
 def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = None):
     """Number of coefficients of f^n equal to alpha (or the full census).
 
-    Expands f^n by n products into one accumulator.  alpha may be an
-    integer (a field encoding, or a plain integer over ZZ) or a FieldElem;
-    with alpha=None the whole census dict is returned.
+    Expands f^n by n products into one accumulator.  Over a field, alpha
+    is an integer made an encoding by Field.encoding; over ZZ it is a
+    plain integer.  With alpha=None the whole census dict is returned.
     """
     budget, factor = _ladder(f, n, budget)
     acc = {0: f.ring.one}
@@ -95,7 +95,7 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
     if alpha is None:
         return census
     if isinstance(f.ring, Field):
-        alpha = f.ring.elem(alpha).val
+        alpha = f.ring.encoding(alpha)
     return census.get(alpha, 0)
 
 

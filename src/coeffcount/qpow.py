@@ -31,14 +31,15 @@ class QPowError(ValueError):
 
 
 def _as_dense(g, field: Field, check: bool = True):
-    """Accept a univariate MultiPoly or a dense coefficient list; with check,
-    refuse a constant g or one with g(0) = 0."""
+    """Accept a univariate MultiPoly or a dense list of integers, each made
+    an encoding by Field.encoding; with check, refuse a constant g or one
+    with g(0) = 0."""
     if isinstance(g, MultiPoly):
         if g.ring != field:
             raise QPowError("polynomial ring does not match the field")
         g = dense_coeffs(g)
     else:
-        g = unipoly.trim([field.elem(c).val for c in g])
+        g = unipoly.trim([field.encoding(c) for c in g])
     if check and len(g) < 2:
         raise QPowError("g must be nonconstant")
     if check and g[0] == 0:
@@ -84,7 +85,7 @@ def _exponent(field: Field, c: int, m: int) -> int:
 
 
 def _alpha_val(field: Field, alpha) -> int:
-    val = field.elem(alpha).val
+    val = field.encoding(alpha)
     if val == 0:
         raise QPowError("alpha must be nonzero")
     return val

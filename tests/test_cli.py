@@ -80,6 +80,16 @@ def test_genfun_command(capsys):
     assert code == 1 and out == ""
     assert err == "error: recurrence coefficient -1/2 is not an integer\n"
 
+    # a first term below zero needs the '=' form: argparse reads a separate
+    # value that starts with '-' as an option
+    code, out, _ = run_cli(capsys, "genfun", "--seq=-1,-3,-8,-21,-55,-144,-377")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["numerator"], data["denominator"]) == (["-1"], ["1", "-3", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main(["genfun", "--seq", "-1,-3,-8,-21,-55,-144,-377"])
+    assert exc.value.code == 2
+
 
 def test_oracle_command_pass_and_fail_line(capsys):
     code, out, err = run_cli(
@@ -104,6 +114,24 @@ def test_oracle_refuses_a_ladder_past_the_budget(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == ("error: 100000000 products by 2 terms exceed the term "
                    "budget 10000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "257", "--poly", "1+x+x^2", "--n", "4000"],
+     "error: automaton supports q <= 256\n"),
+    (["--field", "2", "--poly", "1+x1+x2+x1*x2^2", "--k", "2", "--n", "2000",
+      "--alpha", "0"],
+     "error: alpha must be nonzero; zero-coefficient counts follow from "
+     "N + N_0 = number of coefficient slots\n"),
+], ids=["q257", "alpha0"])
+def test_oracle_refuses_what_the_automaton_refuses_before_the_expansion(
+        capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(cli, "brute_power_census", never)
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert (code, out, err) == (1, "", message)
 
 
 def test_oracle_refuses_a_negative_exponent(capsys):
@@ -226,6 +254,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("genfun_seq_fibonacci_bisection", "genfun --seq 1,3,8,21,55,144,377"),
     ("oracle_f3_k3_three_factors",
      "oracle --field 3 --factors 1+x1+x2;1+x2+x3;2+x1*x3 --k 3"),
+    # a field past the table limit, on the slow add and mul paths
+    ("oracle_f257_two_factors", "oracle --field 257 --factors 1+x;1+2*x"),
 ])
 def test_golden_stdout(capsys, name, argv):
     # the state order of a closed automaton, the q-power read-off and the

@@ -53,6 +53,15 @@ def test_parse_errors():
     assert err is not None and err.pos == 4
 
 
+def test_parse_coefficients_by_the_field_encoding_rule():
+    # over F_p a literal reduces mod p; over F_4 it must be an encoding
+    assert parse_poly("5 + 7*x", 1, F3).terms == {(0,): 2, (1,): 1}
+    assert parse_poly("3*x", 1, F4).terms == {(1,): 3}
+    with pytest.raises(ParseError,
+                       match=r"^encoding 7 out of range for F_4 \(at position 3\)$"):
+        parse_poly("1+7*x", 1, F4)
+
+
 def test_parse_collects_terms_without_polynomial_sums(monkeypatch):
     # one dict for the whole sum: a fold with + would copy it per term
     def no_add(self, other):
