@@ -13,18 +13,16 @@ import sys
 
 from . import closed_forms, lattice, qpow, traveling
 from .automaton import DEFAULT_STATE_CAP, AutomatonError, build_automaton
-from .ffield import Field, FieldError
+from .ffield import Field
 from .mpoly import (
     DEFAULT_TERM_BUDGET,
     BudgetError,
-    ParseError,
     ZZ,
     dense_coeffs,
     parse_poly,
 )
 from .oracle import brute_power_census, brute_product_census
 from .ratgen import (
-    RecurrenceError,
     fit_recurrence,
     fit_repunit_genfun,
     seq_to_genfun,
@@ -367,9 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (FieldError, ParseError, BudgetError, AutomatonError,
-            RecurrenceError, qpow.QPowError, lattice.LatticeError,
-            traveling.TravelingError, ValueError) as exc:
+    except (ValueError, BudgetError, AutomatonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

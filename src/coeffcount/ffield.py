@@ -9,6 +9,8 @@ which keeps the inner loops of the polynomial kernels cheap, and
 
 from __future__ import annotations
 
+import operator
+
 from . import unipoly
 
 DEFAULT_MAX_Q = 1 << 16
@@ -100,8 +102,12 @@ class Field:
 
     def encoding(self, value) -> int:
         """The encoding of an input integer: reduced mod p in a prime field;
-        in an extension field it must already lie in [0, q)."""
-        value = int(value)
+        in an extension field it must already lie in [0, q).  A value that
+        is not an integer (operator.index refuses it) is not truncated."""
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise FieldError(f"{value!r} is not an integer") from None
         if self.r == 1:
             return value % self.p
         if not 0 <= value < self.q:
@@ -166,16 +172,7 @@ class Field:
         return self._slow_add(a, b)
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.r):
-            out += ((-(a % p)) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self.mul(self.p - 1, a)  # p - 1 encodes -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

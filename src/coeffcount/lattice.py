@@ -19,7 +19,6 @@ polytope counts (`ps_points_direct`, `ps_interior_direct`,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -203,22 +202,15 @@ def monomial_count_recurrence_check(parts, i: int) -> bool:
 
 
 def catalan_inversion(n: int) -> int:
-    """Alternating-sum inversion sum_j (-1)^(j+1) C(n+2-j, j) Catalan(n-j).
+    """Alternating-sum inversion sum_{j=1}^{n} (-1)^(j+1) C(n+2-j, j) Catalan(n-j).
 
     Equals Catalan(n) for n >= 2 (direct evaluation shows the identity
     fails at n = 1, where it yields 2).
     """
     if n < 1:
         raise LatticeError("n must be >= 1")
-    total = 0
-    j = 1
-    while j <= n:
-        term = comb(n + 2 - j, j) if n + 2 - j >= 0 else 0
-        if term == 0 and n + 2 - j < j:
-            break
-        total += (-1) ** (j + 1) * term * catalan(n - j)
-        j += 1
-    return total
+    return sum((-1) ** (j + 1) * comb(n + 2 - j, j) * catalan(n - j)
+               for j in range(1, n + 1))
 
 
 # -- the prefix-sum polytope ---------------------------------------------------
@@ -410,26 +402,19 @@ def _triangle_matrix(size: int, shift: int):
 
 
 def ratio_matrix(size: int):
-    """R = M N^{-1} over exact rationals for the two triangular binomial
-    matrices (shift 3 and shift 2); both are unitriangular so R is exact."""
+    """R = M N^{-1} for the two lower-triangular binomial matrices M (shift 3)
+    and N (shift 2), as integers.
+
+    N is unitriangular, so each row of R solves R N = M by integer back
+    substitution: R[i][j] = M[i][j] - sum_{t > j} R[i][t] N[t][j].
+    """
     M = _triangle_matrix(size, 3)
     N = _triangle_matrix(size, 2)
-    # invert the unitriangular N by forward substitution
-    inv = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        inv[j][j] = Fraction(1, N[j][j])
-        for i in range(j + 1, size):
-            acc = Fraction(0)
-            for t in range(j, i):
-                acc += N[i][t] * inv[t][j]
-            inv[i][j] = -acc / N[i][i]
-    R = [[Fraction(0)] * size for _ in range(size)]
+    R = [[0] * size for _ in range(size)]
     for i in range(size):
-        for j in range(size):
-            acc = Fraction(0)
-            for t in range(j, i + 1):
-                acc += M[i][t] * inv[t][j]
-            R[i][j] = acc
+        row = R[i]
+        for j in range(i, -1, -1):
+            row[j] = M[i][j] - sum(row[t] * N[t][j] for t in range(j + 1, i + 1))
     return R
 
 

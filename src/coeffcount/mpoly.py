@@ -75,9 +75,13 @@ class MultiPoly:
         else:
             clean = {}
             for exp, c in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != k or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp} for k={k}")
+                try:
+                    exp = tuple(map(operator.index, exp))
+                    ok = len(exp) == k and not any(e < 0 for e in exp)
+                except TypeError:  # exp keeps the vector as given
+                    ok = False
+                if not ok:
+                    raise ValueError(f"bad exponent vector {tuple(exp)} for k={k}")
                 if c:
                     clean[exp] = ring.add(clean[exp], c) if exp in clean else c
                     if not clean[exp]:

@@ -169,30 +169,27 @@ def connectivity_matrix(k: int, m: int):
 def charpoly(matrix):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier over exact rationals; integer input gives integer
-    output, which is asserted.
+    Faddeev-LeVerrier over the integers for an integer matrix A: with
+    M_1 = I, step k takes c_k = -tr(A M_k) / k, an exact quotient, and
+    M_{k+1} = A M_k + c_k I.  A nonzero remainder raises TravelingError.
     """
-    n = len(matrix)
-    A = [[Fraction(x) for x in row] for row in matrix]
-    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
+    A = matrix
+    n = len(A)
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]  # leading coefficient of x^n
     for step in range(1, n + 1):
         AM = [
             [sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
-        c = -sum(AM[i][i] for i in range(n)) / step
-        coeffs.append(c)
-        M = [
-            [AM[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    out = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
+        c, rem = divmod(-sum(AM[i][i] for i in range(n)), step)
+        if rem:
             raise TravelingError("non-integer characteristic coefficient")
-        out.append(int(c))
-    return out
+        coeffs.append(c)
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return coeffs[::-1]
 
 
 def theta_charpoly(k: int, m: int):

@@ -96,17 +96,8 @@ def gcd(F, a, b):
 
 
 def deriv(F, a):
-    out = []
-    for i in range(1, len(a)):
-        c = a[i]
-        # i * c in the field; i reduces modulo the characteristic
-        s = 0
-        k = i % F.p
-        while k:
-            s = F.add(s, c)
-            k -= 1
-        out.append(s)
-    return trim(out)
+    # i * c in the field; i reduces modulo the characteristic
+    return trim([F.mul(i % F.p, a[i]) for i in range(1, len(a))])
 
 
 def powmod(F, a, e: int, m):
@@ -123,15 +114,9 @@ def powmod(F, a, e: int, m):
 
 def pth_root(F, a):
     """For a with only p-th power exponents, the polynomial b with b^p = a."""
-    p = F.p
-    out = []
-    for i in range(0, len(a), p):
-        c = a[i]
-        # c^(p^(r-1)) is the p-th root in F_{p^r}
-        for _ in range(F.r - 1):
-            c = F.pow(c, p)
-        out.append(c)
-    return trim(out)
+    # c^(p^(r-1)) is the p-th root of c in F_{p^r}
+    e = F.p ** (F.r - 1)
+    return trim([F.pow(c, e) for c in a[::F.p]])
 
 
 def is_irreducible(F, a) -> bool:

@@ -12,7 +12,7 @@ from coeffcount.automaton import (
     build_automaton,
 )
 from coeffcount.acceptance import vandermonde_poly
-from coeffcount.ffield import Field
+from coeffcount.ffield import Field, FieldError
 from coeffcount.mpoly import MultiPoly, parse_poly
 from coeffcount.oracle import brute_power_census, power_census_series
 
@@ -49,6 +49,13 @@ def test_zero_alpha_rejected():
     A = build_automaton(parse_poly("1+x", 1, F2))
     with pytest.raises(ValueError):
         A.count(3, 0)
+
+
+def test_non_integer_alpha_rejected():
+    # alpha = 1.9 is refused, not counted as alpha = 1
+    A = build_automaton(parse_poly("1+x", 1, F3))
+    with pytest.raises(FieldError, match="1.9"):
+        A.count(10, 1.9)
 
 
 def test_agreement_with_oracle_small_fields():

@@ -1,7 +1,8 @@
 import functools
+import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coeffcount import unipoly
 from coeffcount.ffield import (
@@ -16,6 +17,7 @@ from coeffcount.unipoly import prime_factors
 F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
+F9 = Field(3, 2)
 
 
 def test_basic_arithmetic():
@@ -36,9 +38,10 @@ def test_field_operators():
 
 
 def test_division_inverts():
-    for field in (F2, F3, F4, Field(5), Field(3, 2)):
+    for field in (F2, F3, F4, Field(5), F9):
         for a in range(1, field.q):
             assert field.mul(a, field.inv(a)) == 1
+            assert field.add(a, field.neg(a)) == 0
             b = 3 % field.q or 1
             assert field.mul(field.mul(b, a), field.inv(a)) == b
 
@@ -117,6 +120,35 @@ def test_find_irreducible_is_first_by_trial_division(p, r):
     assert find_irreducible(p, r) == tuple(first)
 
 
+def _power(field, a, m):
+    return functools.reduce(lambda acc, _: unipoly.mul(field, acc, a), range(m), [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_squarefree_decomposition(data):
+    # factors raised to multiples of p make f' vanish, so over F_4 and F_9
+    # the p-th root is taken in an extension field
+    field = data.draw(st.sampled_from([F2, F3, F4, F9]))
+    p = field.p
+    coeff = st.integers(0, field.q - 1)
+    f = [data.draw(st.integers(1, field.q - 1))]  # a nonzero scalar
+    for m in [p] + data.draw(st.lists(st.sampled_from([1, 2, p, p + 1, 2 * p, p * p]),
+                                      max_size=2)):
+        base = data.draw(st.lists(coeff, min_size=1, max_size=2)) + [1]
+        f = unipoly.mul(field, f, _power(field, base, m))
+    parts = unipoly.squarefree_decomposition(field, f)
+    product = [1]
+    for g, m in parts:
+        assert m >= 1 and g[-1] == 1
+        dg = unipoly.deriv(field, g)
+        assert dg and unipoly.deg(unipoly.gcd(field, g, dg)) == 0  # squarefree
+        product = unipoly.mul(field, product, _power(field, g, m))
+    assert product == unipoly.monic(field, f)
+    for (g, _), (h, _) in itertools.combinations(parts, 2):
+        assert unipoly.deg(unipoly.gcd(field, g, h)) == 0
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(FieldError):
         Field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
@@ -162,6 +194,10 @@ def test_encoding_rule():
         F4.encoding(7)
     with pytest.raises(FieldError):
         F4.encoding(-1)
+    # not truncated: an integer-valued float or a digit string is refused too
+    for value in (1.9, 2.0, "5"):
+        with pytest.raises(FieldError, match=f"^{value!r} is not an integer$"):
+            F3.encoding(value)
 
 
 F257 = Field(257)
@@ -185,5 +221,6 @@ def test_untabled_prime_field_matches_integers_mod_p():
 def test_untabled_extension_field(a, b):
     assert F512._mul is None
     assert F512.mul(a, F512.inv(a)) == 1
+    assert F512.add(a, F512.neg(a)) == 0
     square = F512.pow(F512.add(a, b), 2)
     assert square == F512.add(F512.pow(a, 2), F512.pow(b, 2))

@@ -294,6 +294,18 @@ def test_fuss_catalan():
 def test_staircase_grid():
     R = ratio_matrix(8)
     assert R[0][0] == 1 and R[3][1] == 3 and R[4][1] == 18
+    # R is an integer matrix with R N = M exactly, M and N written out here
+    size = 12
+    R = ratio_matrix(size)
+    assert all(type(x) is int for row in R for x in row)
+
+    def triangle(shift):
+        return [[comb(comb(i, 2) - comb(j, 2) + i - j + shift, i - j) if j <= i else 0
+                 for j in range(size)] for i in range(size)]
+
+    M, N = triangle(3), triangle(2)
+    assert [[sum(R[i][t] * N[t][j] for t in range(size)) for j in range(size)]
+            for i in range(size)] == M
     rows = staircase_grid_report(3, 2)
     for n, k, oracle, rnk, rnkk, weighted in rows:
         assert str(oracle) == rnkk, (n, k)

@@ -53,6 +53,11 @@ def test_parse_errors():
     assert err is not None and err.pos == 4
 
 
+def test_non_integral_exponent_rejected():
+    with pytest.raises(ValueError, match=r"^bad exponent vector \(1\.5,\) for k=1$"):
+        MultiPoly(1, ZZ, {(1.5,): 1})
+
+
 def test_parse_coefficients_by_the_field_encoding_rule():
     # over F_p a literal reduces mod p; over F_4 it must be an encoding
     assert parse_poly("5 + 7*x", 1, F3).terms == {(0,): 2, (1,): 1}

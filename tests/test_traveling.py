@@ -1,4 +1,7 @@
 import functools
+import itertools
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -102,6 +105,22 @@ def test_pm_chains():
         pm_chain_poly(2, 0)  # 1 - x_i + x_i is no chain
 
 
+def _leibniz_charpoly(A):
+    """det(xI - A), ascending, as the sum over permutations s of
+    sign(s) * prod_i (x [i = s(i)] - A[i][s(i)])."""
+    n = len(A)
+    out = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = [(-1) ** inversions]
+        for i, j in enumerate(perm):
+            # term times (x [i = j] - A[i][j]), one degree longer
+            shifted = [0] + term if i == j else [0] * (len(term) + 1)
+            term = [s - A[i][j] * t for s, t in zip(shifted, term + [0])]
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
 def test_connectivity_matrix_and_charpoly():
     assert connectivity_matrix(1, 1) == [[1, 1], [1, 1]]
     assert theta_charpoly(1, 1) == [0, -2, 1]
@@ -110,6 +129,15 @@ def test_connectivity_matrix_and_charpoly():
     for k in range(7):
         for m in range(7):
             assert charpoly(connectivity_matrix(k, m)) == theta_charpoly(k, m)
+    # integer matrices with negative entries, against the Leibniz expansion
+    rng = random.Random(0)
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            assert charpoly(A) == _leibniz_charpoly(A), A
+    # a matrix whose characteristic polynomial is not integral is refused
+    with pytest.raises(TravelingError, match="non-integer characteristic coefficient"):
+        charpoly([[Fraction(1, 2)]])
 
 
 def test_window_power_genfuns():
