@@ -2,9 +2,8 @@
 
 Everything here reduces a count over an exponentially large expansion to
 digit work: the digitwise binomial product, a digit DP for the census of
-a binomial row, the all-ones-power count from the digits of (p-1)n, the
-mod-3 trinomial split, and the binary run-product for the odd
-coefficients of (1 + x + x^2)^n.
+a binomial row, the all-ones-power count from the digits of (p-1)n, and
+the binary run-product for the odd coefficients of (1 + x + x^2)^n.
 """
 
 from __future__ import annotations
@@ -78,27 +77,6 @@ def all_ones_power_count(n: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return prod(1 + b for b in base_digits((p - 1) * n, p))
-
-
-def trinomial_mod3_split(n: int):
-    """(N_0, N_1, N_2) for the coefficients of (1 + x + x^2)^n over F_3.
-
-    Let b_i be the ternary digits of 2n.  A digit 2 forces value 1, a
-    digit 1 splits evenly between 1 and 2; hence if no digit equals 1
-    every nonzero coefficient is 1 and N_1 = prod(1 + b_i), otherwise
-    N_1 = N_2 = prod(1 + b_i) / 2.  N_0 fills up the 2n + 1 slots.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (0, 1, 0)
-    ds = base_digits(2 * n, 3)
-    total = prod(1 + b for b in ds)
-    if 1 in ds:
-        n1 = n2 = total // 2
-    else:
-        n1, n2 = total, 0
-    return (2 * n + 1 - n1 - n2, n1, n2)
 
 
 def run_lengths(n: int):

@@ -77,10 +77,10 @@ class Field:
         else:
             if modulus is None:
                 modulus = find_irreducible(p, r)
-            modulus = tuple(int(c) % p for c in modulus)
+            prime = Field(p)
+            modulus = tuple(map(prime.encoding, modulus))
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise FieldError(f"modulus must be monic of degree {r}")
-            prime = Field(p)
             if not unipoly.is_irreducible(prime, list(modulus)):
                 raise FieldError("modulus is not irreducible over F_p")
             self.modulus = modulus

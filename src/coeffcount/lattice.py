@@ -177,30 +177,6 @@ def distinct_monomial_count(parts) -> int:
                        lambda j, k: multichoose(drops[j - 1], k))
 
 
-def monomial_count_recurrence_check(parts, i: int) -> bool:
-    """Check the split recurrence for incrementing part i (1-based).
-
-    N(lambda with lambda_i + 1) must equal N(lambda) plus the product of
-    the counts of the two independent subshapes created by the increment.
-    """
-    parts = list(parts)
-    n = len(parts)
-    if not 1 <= i <= n:
-        raise LatticeError("index out of range")
-    bumped = parts[:]
-    bumped[i - 1] += 1
-    if i > 1 and bumped[i - 1] > parts[i - 2]:
-        raise LatticeError("increment breaks monotonicity")
-    lam_i = parts[i - 1]
-    left = [parts[j] - lam_i for j in range(i - 1)] + [1]
-    right = parts[i:]
-    lhs = distinct_monomial_count(bumped)
-    rhs = distinct_monomial_count(parts) + distinct_monomial_count(
-        left
-    ) * distinct_monomial_count(right)
-    return lhs == rhs
-
-
 def catalan_inversion(n: int) -> int:
     """Alternating-sum inversion sum_{j=1}^{n} (-1)^(j+1) C(n+2-j, j) Catalan(n-j).
 

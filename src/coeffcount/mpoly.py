@@ -41,7 +41,6 @@ class IntegerRing:
 
     # builtins, so that the product loop makes no Python-level call over ZZ
     add = operator.add
-    sub = operator.sub
     mul = operator.mul
     neg = operator.neg
 
@@ -181,15 +180,6 @@ class MultiPoly:
                 out[exp] = c
         return MultiPoly(self.k, ring, out, _clean=True)
 
-    def __neg__(self):
-        ring = self.ring
-        return MultiPoly(
-            self.k, ring, {e: ring.neg(c) for e, c in self.terms.items()}, _clean=True
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def mul(self, other, budget: int | None = None):
         self._check_compatible(other)
         if budget is None:
@@ -238,9 +228,6 @@ class MultiPoly:
             if n:
                 base = base.mul(base, budget)
         return result
-
-    def __pow__(self, n: int):
-        return self.pow(n)
 
     def __eq__(self, other):
         return (

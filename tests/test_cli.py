@@ -271,6 +271,16 @@ def test_qpow_honours_state_cap(capsys):
     assert (code, out) == (1, "") and "state cap 5 exceeded" in err
 
 
+def test_oracle_state_cap_bounds_only_the_states_its_count_reaches(capsys):
+    # the closure of 1 + x + x^3 over F_2 has 8 states; the walk for n = 5
+    # discovers 3, so only the command that prints the closure refuses the cap
+    argv = ["--field", "2", "--poly", "1+x+x^3", "--n", "5"]
+    code, out, _ = run_cli(capsys, "--state-cap", "3", "oracle", *argv)
+    assert code == 0 and json.loads(out)["automaton"] == "9"
+    code, out, err = run_cli(capsys, "--state-cap", "3", "automaton", *argv)
+    assert (code, out) == (1, "") and "state cap 3 exceeded" in err
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x^2+x^5")
     _, out2, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x^2+x^5")
@@ -278,9 +288,27 @@ def test_deterministic_output(capsys):
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["automaton"])  # missing required flags
-    assert exc.value.code == 2
+    for argv in (["automaton"],  # missing required flags
+                 # argparse choices refuse an unknown kind before any dispatch
+                 ["closed-form", "bogus", "--n", "1"],
+                 ["lattice", "bogus"],
+                 ["traveling", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["genfun", "--seq", "1,x"], "--seq entry 2 is not an integer: 'x'"),
+    (["lattice", "omega"], "--parts entry 1 is not an integer: ''"),
+    (["lattice", "ps", "--t-vec", "1,1.5"], "--t-vec entry 2 is not an integer: '1.5'"),
+    (["lattice", "mrsk", "--m-vec", "1,2,a"], "--m-vec entry 3 is not an integer: 'a'"),
+    (["automaton", "--field", "2^2:1,x,1", "--poly", "1+x"],
+     "--field modulus entry 2 is not an integer: 'x'"),
+], ids=["seq", "parts", "t-vec", "m-vec", "modulus"])
+def test_bad_list_entry_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_computation_error_exit_1(capsys):

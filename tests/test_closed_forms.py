@@ -11,7 +11,6 @@ from coeffcount.closed_forms import (
     family_poly,
     lucas_binomial,
     run_lengths,
-    trinomial_mod3_split,
     trinomial_odd_count,
     trinomial_series_vs_doubling,
 )
@@ -79,19 +78,6 @@ def test_all_ones_power():
         expanded = f.pow(n)
         for k in range(2 * n + 1):
             assert all_ones_power_coeff(n, k, 3) == expanded.terms.get((k,), 0)
-
-
-def test_trinomial_mod3_split():
-    assert trinomial_mod3_split(0) == (0, 1, 0)
-    assert trinomial_mod3_split(2) == (1, 2, 2)
-    assert trinomial_mod3_split(4) == (0, 9, 0)
-    f = parse_poly("1+x+x^2", 1, F3)
-    series = power_census_series(f, 200)
-    for n in range(201):
-        n0, n1, n2 = trinomial_mod3_split(n)
-        census = series[n]
-        assert n1 == census.get(1, 0) and n2 == census.get(2, 0), n
-        assert n0 == 2 * n + 1 - n1 - n2
 
 
 def test_run_lengths():

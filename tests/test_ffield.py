@@ -156,6 +156,10 @@ def test_bad_modulus_rejected():
         Field(4)  # not prime
     with pytest.raises(FieldError):
         Field(2, 20)  # q over the cap
+    # modulus digits are read by Field.encoding: reduced mod p, never truncated
+    with pytest.raises(FieldError, match=r"^1\.5 is not an integer$"):
+        Field(2, 2, (1.5, 1.9, 1))
+    assert Field(3, 2, (-1, -2, 1)).modulus == (2, 1, 1)
 
 
 def test_is_primitive_examples():

@@ -19,7 +19,6 @@ from coeffcount.lattice import (
     fuss_catalan,
     fuss_product_poly,
     lpath_sequences,
-    monomial_count_recurrence_check,
     nested_sum_product,
     noncrossing_identity,
     path_count_under_boundary,
@@ -87,14 +86,6 @@ def test_nested_sum_product_zero_and_negative_parts():
     for parts in ([-1], [2, -1], [0, -1], [-1, 0, 3]):
         with pytest.raises(LatticeError):
             nested_sum_product(parts)
-
-
-def test_recurrence_check():
-    assert monomial_count_recurrence_check([2, 1], 1)
-    assert monomial_count_recurrence_check([1], 1)
-    assert monomial_count_recurrence_check([3, 2, 2], 2)
-    with pytest.raises(LatticeError):
-        monomial_count_recurrence_check([2, 2], 2)  # (2,3) is not a partition
 
 
 def test_catalan_inversion():
