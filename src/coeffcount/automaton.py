@@ -9,7 +9,9 @@ classes of exponents.  Only patterns actually reachable from the seed
 polynomials are materialized, which keeps the matrices small even when
 the full pattern space q^|S| is astronomical.  A (state, digit) column
 is made when a digit walk first needs it and `close()` makes the rest, so
-q-power counts (see qpow) make only the columns their walk touches.
+q-power counts (see qpow) make only the columns their walk touches.  The
+children of c*G are c times the children of G, so a column is expanded
+once per (digit, scalar orbit) and scaled for the orbit's other states.
 
 Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
 counts and censuses its last vector; repunit counts, the Krylov order and
@@ -89,6 +91,9 @@ class DigitAutomaton:
     pattern.  Box bounds (q-1)*deg_i(f) guarantee the slices never escape
     the box, held as packed keys in `itertools.product` order, so the
     closure is finite.  Each f^a is the convolution of f^(a-1) with f.
+    Over q > 2 a column is expanded once per scalar orbit {c*G} and made
+    for the orbit's other states by scaling its children (_make_columns);
+    the numbering is the one expanding every column would give.
 
     Attributes:
         field, f: the coefficient field and base polynomial.
@@ -125,6 +130,9 @@ class DigitAutomaton:
         self.transitions = [[] for _ in range(q)]
         self._state_index: dict[bytes, int] = {}
         self._missing = 0  # (state, digit) columns not made yet
+        # per digit, unit pattern U -> (lead, column order) of the first state
+        # lead * U whose column was expanded; F_2 has no scalar but 1
+        self._orbit_columns = None if q == 2 else [{} for _ in range(q)]
 
         # exponents of f^a * G packed into ints; f^(q-1) * G never carries
         self._packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
@@ -139,6 +147,7 @@ class DigitAutomaton:
             acc = _convolve(self._f_pows_packed[-1], f_packed, field._add, field._mul)
             self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
+        self._gamma_count = q**k
 
         # box point 0 is the exponent vector 0
         self.initial = self._intern(bytes([field.one]) + bytes(len(box) - 1))
@@ -178,41 +187,85 @@ class DigitAutomaton:
         self._split_cache[key] = (gamma_rank, point)
         return gamma_rank, point
 
-    def _make_columns(self, src: int, digits) -> None:
-        """Make state src's columns for the given digits, interning their children."""
-        G = self.states[src]
-        npoints = len(G)
+    def _support(self, G: bytes):
+        """The packed (key, coeff) terms of the polynomial with pattern G."""
         box_packed = self._box_packed
-        support = [(box_packed[j], g) for j, g in enumerate(G) if g]
-        add_table = self.field._add
-        mul_table = self.field._mul
+        return [(box_packed[j], g) for j, g in enumerate(G) if g]
+
+    def _expand(self, support, a: int):
+        """The nonempty gamma slices of f^a * G, G given by its support.
+
+        Returns the slices' patterns as bytearrays in first-seen order; the
+        other q^k - len(slices) slices are zero.
+        """
+        npoints = len(self._box_packed)
         split_get = self._split_cache.get
+        # f^a outer, support inner: acc's key order sets the state numbering
+        acc = _convolve(self._f_pows_packed[a], support, self.field._add, self.field._mul)
+        slices: dict[int, bytearray] = {}
+        for key, v in acc.items():
+            if v:
+                grank, didx = split_get(key) or self._split(key)
+                arr = slices.get(grank)
+                if arr is None:
+                    arr = bytearray(npoints)
+                    slices[grank] = arr
+                arr[didx] = v
+        return slices.values()
+
+    def _make_columns(self, src: int, digits) -> None:
+        """Make state src's columns for the given digits, interning their children.
+
+        G -> f^a G is F_q-linear, so the children of c*G are c times the
+        children of G, in the same order.  Over q > 2 a column is expanded
+        once per scalar orbit: the state G = lead * U (lead its first
+        nonzero byte) stores its column's distinct children with their
+        multiplicities, in first-seen order, under U, and a later state
+        c * U interns them scaled by c / lead in that order, which is the
+        order its own expansion would intern them in.
+        """
+        G = self.states[src]
         index_get = self._state_index.get
-        gamma_count = self.field.q**self.f.k
+        orbit_columns = self._orbit_columns
+        unit = support = None
+        if orbit_columns is not None:
+            nonzero = G.lstrip(b"\0")
+            if nonzero:
+                field = self.field
+                lead = nonzero[0]
+                unit = G if lead == 1 else G.translate(field._scale[field._inv[lead]])
         for a in digits:
-            # f^a outer, support inner: acc's key order sets the state numbering
-            acc = _convolve(self._f_pows_packed[a], support, add_table, mul_table)
-            children: dict[int, bytearray] = {}
-            for key, v in acc.items():
-                if v:
-                    grank, didx = split_get(key) or self._split(key)
-                    arr = children.get(grank)
-                    if arr is None:
-                        arr = bytearray(npoints)
-                        children[grank] = arr
-                    arr[didx] = v
-            column: dict[int, int] = {}
-            for arr in children.values():
-                pat = bytes(arr)
-                idx = index_get(pat)
-                if idx is None:
-                    idx = self._intern(pat)
-                column[idx] = column.get(idx, 0) + 1
-            rest = gamma_count - len(children)
-            if rest:
-                zidx = self._intern(bytes(npoints))
-                column[zidx] = column.get(zidx, 0) + rest
-            self.transitions[a][src] = sorted(column.items())
+            made = None if unit is None else orbit_columns[a].get(unit)
+            if made is None:
+                if support is None:
+                    support = self._support(G)
+                slices = self._expand(support, a)
+                column: dict[int, int] = {}
+                for arr in slices:
+                    pat = bytes(arr)
+                    idx = index_get(pat)
+                    if idx is None:
+                        idx = self._intern(pat)
+                    column[idx] = column.get(idx, 0) + 1
+                empty = self._gamma_count - len(slices)
+                if empty:
+                    column[self._intern(bytes(len(G)))] = empty
+                order = column.items()
+                if unit is not None:
+                    order = list(order)
+                    orbit_columns[a][unit] = (lead, order)
+            else:
+                made_lead, made_order = made
+                states = self.states
+                table = field._scale[field._mul[lead][field._inv[made_lead]]]
+                order = []
+                for child, mult in made_order:
+                    pat = states[child].translate(table)
+                    idx = index_get(pat)
+                    if idx is None:
+                        idx = self._intern(pat)
+                    order.append((idx, mult))
+            self.transitions[a][src] = sorted(order)
             self._missing -= 1
 
     def close(self) -> DigitAutomaton:
@@ -223,6 +276,7 @@ class DigitAutomaton:
             if digits:
                 self._make_columns(src, digits)
             src += 1
+        self._orbit_columns = None  # a closed automaton makes no more columns
         return self
 
     # -- vectors ---------------------------------------------------------

@@ -86,6 +86,8 @@ class Field:
             self.modulus = modulus
         self._add = None
         self._mul = None
+        self._inv = None
+        self._scale = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -128,6 +130,10 @@ class Field:
                 mul[a][b] = mul[b][a] = m
         self._add = add
         self._mul = mul
+        # _inv[0] is a placeholder; inv() refuses 0 before reading it
+        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        # _scale[c] is a bytes.translate table multiplying every byte by c
+        self._scale = [bytes(row).ljust(256, b"\0") for row in mul]
 
     def _slow_add(self, a: int, b: int) -> int:
         if self.r == 1:
@@ -172,7 +178,20 @@ class Field:
         return self._slow_add(a, b)
 
     def neg(self, a: int) -> int:
-        return self.mul(self.p - 1, a)  # p - 1 encodes -1
+        p = self.p
+        if self._mul is not None:
+            return self._mul[p - 1][a]  # p - 1 encodes -1
+        if self.r == 1:
+            return -a % p
+        # negate each base-p coordinate, as _slow_add walks them
+        out = 0
+        shift = 1
+        while a:
+            a, c = divmod(a, p)
+            if c:
+                out += (p - c) * shift
+            shift *= p
+        return out
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -197,6 +216,8 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero in finite field")
+        if self._inv is not None:
+            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     # -- identity ----------------------------------------------------------

@@ -425,3 +425,94 @@ def test_construction_never_calls_the_sparse_product(monkeypatch):
     for f, seed in cases:
         A = DigitAutomaton(f, seeds=[] if seed is None else [seed]).close()
         assert A.count(7, 1) >= 0 and not A.column_sum_violations()
+
+
+ORBIT_FIELDS = {3: F3, 4: F4, 5: Field(5), 7: Field(7), 9: Field(3, 2)}
+
+
+def _expanded_column(A, state, a):
+    """The column of a state for digit a, re-expanded from its own pattern."""
+    column = {}
+    slices = A._expand(A._support(A.states[state]), a)
+    for arr in slices:
+        child = A._state_index[bytes(arr)]
+        column[child] = column.get(child, 0) + 1
+    empty = A.field.q**A.f.k - len(slices)
+    if empty:
+        column[A._state_index[bytes(len(A.states[state]))]] = empty
+    return sorted(column.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from(sorted(ORBIT_FIELDS)),
+    k=st.integers(min_value=1, max_value=2),
+    seeded=st.booleans(),
+    data=st.data(),
+)
+def test_scaled_columns_equal_their_expansion(q, k, seeded, data):
+    # a column made by scaling an orbit mate's column equals the state's
+    # own expansion, with or without seeds
+    field = ORBIT_FIELDS[q]
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
+        min_size=1, max_size=3, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    seeds = []
+    if seeded:
+        seed_exps = data.draw(st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=q)] * k),
+            min_size=1, max_size=2, unique=True))
+        seed_coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                         min_size=len(seed_exps), max_size=len(seed_exps)))
+        seeds = [MultiPoly(k, field, dict(zip(seed_exps, seed_coeffs)))]
+    try:
+        A = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, seeds=seeds)
+    except StateCapError:
+        assume(False)
+    for a in range(q):
+        for state in range(A.state_count):
+            assert A.transitions[a][state] == _expanded_column(A, state, a)
+
+
+def test_one_expansion_per_digit_and_scalar_orbit(monkeypatch):
+    # the closure expands a column once per (digit, scalar orbit) pair; the
+    # zero pattern is an orbit of its own
+    from coeffcount import automaton
+
+    A = DigitAutomaton(parse_poly("1+2*x+2*x^4+2*x^5", 1, F3))
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    convolve = automaton._convolve
+    monkeypatch.setattr(automaton, "_convolve", counted)
+    A.close()
+    orbits = {min(bytes(F3.mul(c, b) for b in pat) for c in (1, 2)) for pat in A.states}
+    assert (A.state_count, len(orbits)) == (243, 122)
+    assert len(calls) == 3 * len(orbits)
+
+
+def test_discovery_order_and_state_cap_unchanged():
+    # numbers, caps and the digest of states and columns as the plain
+    # one-expansion-per-state closure gives them over F_5
+    import hashlib
+
+    from coeffcount import qpow
+
+    F5 = Field(5)
+    f = parse_poly("1+2*x+3*x^3", 1, F5)
+    A = build_automaton(f, state_cap=125)
+    digest = hashlib.sha256(repr((A.states, A.transitions)).encode()).hexdigest()
+    assert digest[:16] == "d339ba9e375d8d89"
+    with pytest.raises(StateCapError):
+        build_automaton(f, state_cap=124)
+    # the lazy q-power walk discovers 124 of the 125 states
+    g = [1, 2, 0, 3]
+    assert qpow.qpow_counts(g, F5, 1, 1, 2, 6, state_cap=124) == [11, 76, 380, 1886, 9451]
+    with pytest.raises(StateCapError):
+        qpow.qpow_counts(g, F5, 1, 1, 2, 6, state_cap=123)

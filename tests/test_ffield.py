@@ -38,12 +38,20 @@ def test_field_operators():
 
 
 def test_division_inverts():
-    for field in (F2, F3, F4, Field(5), F9):
+    # every field here is tabled: inv reads a table, and _scale[c] is a
+    # bytes.translate table multiplying each element by c
+    for field in (F2, F3, F4, Field(5), Field(2, 3), F9, Field(3, 3), Field(2, 8)):
+        assert field._inv is not None
+        elems = bytes(range(field.q))
         for a in range(1, field.q):
             assert field.mul(a, field.inv(a)) == 1
             assert field.add(a, field.neg(a)) == 0
             b = 3 % field.q or 1
             assert field.mul(field.mul(b, a), field.inv(a)) == b
+        for c in range(field.q):
+            assert elems.translate(field._scale[c]) == bytes(field.mul(c, v) for v in elems)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, Field(2, 3), Field(3, 2), Field(3, 4)])
@@ -218,6 +226,15 @@ def test_untabled_prime_field_matches_integers_mod_p():
             assert F257.mul(a, b) == a * b % 257
         if a:
             assert F257.inv(a) * a % 257 == 1
+
+
+@pytest.mark.parametrize("field", [F512, Field(3, 6)])
+def test_untabled_extension_negation(field):
+    # the digit-wise negation equals multiplication by -1 (encoded p - 1)
+    assert field._mul is None
+    for a in range(field.q):
+        assert field.add(a, field.neg(a)) == 0
+        assert field.neg(a) == field.mul(field.p - 1, a)
 
 
 @given(st.integers(min_value=1, max_value=511),
