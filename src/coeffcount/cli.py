@@ -134,9 +134,15 @@ def cmd_genfun(args) -> int:
 def cmd_qpow(args) -> int:
     if (args.verify_upto or 0) > MAX_EXPONENT_DIGITS:
         raise ValueError(f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}")
+    if len(args.c) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"--c longer than {MAX_EXPONENT_DIGITS} characters")
+    try:
+        c = int(args.c)
+    except ValueError:
+        raise ValueError(f"--c is not an integer: {args.c!r}") from None
     field = parse_field(args.field)
     g = dense_coeffs(parse_poly(args.g, 1, field))
-    prof = qpow.fit_qpow_profile(g, field, args.c, args.alpha, args.state_cap)
+    prof = qpow.fit_qpow_profile(g, field, c, args.alpha, args.state_cap)
     out = {
         "d": prof.d,
         "mu": prof.mu,
@@ -145,7 +151,7 @@ def cmd_qpow(args) -> int:
         "v": [str(x) for x in prof.v],
     }
     if args.verify_upto is not None:
-        counts = qpow.qpow_counts(g, field, args.c, args.alpha, prof.l,
+        counts = qpow.qpow_counts(g, field, c, args.alpha, prof.l,
                                   args.verify_upto, args.state_cap)
         out["verified"] = {
             str(m): {"count": _json_int(actual), "matches": prof.predict(m) == actual}
@@ -318,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qpow", help="periodic-plus-exponential power profiles")
     p.add_argument("--field", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--c", type=int, default=1)
+    # text, so its length is bounded before it is converted (see cmd_qpow)
+    p.add_argument("--c", default="1")
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--verify-upto", type=int)
     p.set_defaults(func=cmd_qpow)

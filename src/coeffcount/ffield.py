@@ -76,13 +76,15 @@ class Field:
             self.modulus = (0, 1)  # the polynomial x; unused for prime fields
         else:
             if modulus is None:
+                # irreducible by construction: find_irreducible proved it
                 modulus = find_irreducible(p, r)
-            prime = Field(p)
-            modulus = tuple(map(prime.encoding, modulus))
-            if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise FieldError(f"modulus must be monic of degree {r}")
-            if not unipoly.is_irreducible(prime, list(modulus)):
-                raise FieldError("modulus is not irreducible over F_p")
+            else:
+                prime = Field(p)
+                modulus = tuple(map(prime.encoding, modulus))
+                if len(modulus) != r + 1 or modulus[-1] != 1:
+                    raise FieldError(f"modulus must be monic of degree {r}")
+                if not unipoly.is_irreducible(prime, list(modulus)):
+                    raise FieldError("modulus is not irreducible over F_p")
             self.modulus = modulus
         self._add = None
         self._mul = None
@@ -120,20 +122,63 @@ class Field:
 
     def _build_tables(self):
         q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = self._slow_add(a, b)
-                add[a][b] = add[b][a] = s
-                m = self._slow_mul(a, b)
-                mul[a][b] = mul[b][a] = m
+        if self.r == 1:
+            add = [[0] * q for _ in range(q)]
+            mul = [[0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    s = self._slow_add(a, b)
+                    add[a][b] = add[b][a] = s
+                    m = self._slow_mul(a, b)
+                    mul[a][b] = mul[b][a] = m
+            inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        else:
+            add, mul, inv = self._log_tables()
         self._add = add
         self._mul = mul
         # _inv[0] is a placeholder; inv() refuses 0 before reading it
-        self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._inv = inv
         # _scale[c] is a bytes.translate table multiplying every byte by c
         self._scale = [bytes(row).ljust(256, b"\0") for row in mul]
+
+    def _log_tables(self):
+        """Addition, multiplication and inverse tables of an extension field
+        from q - 2 slow products (Lidl-Niederreiter, Finite Fields, ch. 9).
+
+        Every nonzero element is g^k for the smallest primitive encoding g,
+        so a * b = g^(log a + log b).  Addition is digit-wise mod p: XOR for
+        p = 2, and otherwise its table on p^(j+1) encodings is composed from
+        the one on p^j and the p x p table of F_p, one base-p digit at a time.
+        """
+        p, q = self.p, self.q
+        order = q - 1
+        cofactors = [order // ell for ell in unipoly.prime_factors(order)]
+        g = next(a for a in range(1, q)
+                 if all(self.pow(a, e) != 1 for e in cofactors))
+        antilog = [1]
+        for _ in range(order - 1):
+            antilog.append(self._slow_mul(antilog[-1], g))
+        log = [0] * q
+        for k, a in enumerate(antilog):
+            log[a] = k
+        logs = log[1:]  # the logs of 1 .. q - 1
+        exp = antilog * 2  # exp[k] = g^k for 0 <= k < 2 (q - 1)
+        # row a > 0 is 0, then exp[log a + log b] for b = 1 .. q - 1 (q > 2,
+        # so the getter returns a tuple)
+        by_log = operator.itemgetter(*logs)
+        mul = [[0] * q] + [[0, *by_log(exp[i:i + order])] for i in logs]
+        inv = [0] + [exp[order - i] for i in logs]
+        if p == 2:
+            return [[a ^ b for b in range(q)] for a in range(q)], mul, inv
+        digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+        add, width = digit, p
+        while width < q:
+            # a = low + width * t and b = low' + width * s add to
+            # add[low][low'] + width * digit[t][s]
+            add = [[x + width * s for s in digit[t] for x in add[low]]
+                   for t in range(p) for low in range(width)]
+            width *= p
+        return add, mul, inv
 
     def _slow_add(self, a: int, b: int) -> int:
         if self.r == 1:

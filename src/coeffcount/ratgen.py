@@ -14,7 +14,6 @@ exact (ints, Fractions and residues), never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -26,12 +25,50 @@ class RecurrenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen record whose fields are its class's ``__slots__``, set once
+    by ``__init__`` through ``_set``.  Records are equal, and hash equal,
+    when their types and fields are; assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class LinearRecurrence(_Record):
     """a_n = sum_{i=1..order} coeffs[i-1] * a_{n-i}, with the starting terms."""
 
-    coeffs: tuple
-    initial: tuple
+    __slots__ = ("coeffs", "initial")
+
+    def __init__(self, coeffs: tuple, initial: tuple):
+        _set(self, "coeffs", coeffs)
+        _set(self, "initial", initial)
 
     @property
     def order(self) -> int:
@@ -55,12 +92,14 @@ class LinearRecurrence:
         return out
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Record):
     """num(t)/den(t) with integer coefficients and den[0] = 1."""
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def make(num, den) -> "RationalGF":

@@ -256,6 +256,9 @@ GOLDEN = Path(__file__).parent / "golden"
      "oracle --field 3 --factors 1+x1+x2;1+x2+x3;2+x1*x3 --k 3"),
     # a field past the table limit, on the slow add and mul paths
     ("oracle_f257_two_factors", "oracle --field 257 --factors 1+x;1+2*x"),
+    # the largest tabled extension fields, on their discrete-log tables
+    ("automaton_f256_n1000", "automaton --field 2^8 --poly 1+x+x^3 --n 1000"),
+    ("automaton_f243_n1000", "automaton --field 3^5 --poly 1+x+x^3 --n 1000"),
 ])
 def test_golden_stdout(capsys, name, argv):
     # the state order of a closed automaton, the q-power read-off and the
@@ -348,6 +351,8 @@ def test_exact_integers_past_the_decimal_digit_cap(capsys):
       "9" * (MAX_EXPONENT_DIGITS + 1)], "exponent longer than"),
     (["qpow", "--field", "2", "--g", "1+x+x^3", "--verify-upto",
       str(10**9)], f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}"),
+    (["qpow", "--field", "2", "--g", "1+x+x^3", "--c",
+      "0" * MAX_EXPONENT_DIGITS + "1"], f"--c longer than {MAX_EXPONENT_DIGITS}"),
 ])
 def test_long_exponents_refused_up_front(capsys, monkeypatch, argv, message):
     # refused before any automaton is built or q-power profile fitted
@@ -358,3 +363,13 @@ def test_long_exponents_refused_up_front(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli.qpow, "fit_qpow_profile", never)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and message in err
+
+
+def test_qpow_c_at_the_length_bound(capsys):
+    # MAX_EXPONENT_DIGITS characters are read; leading zeros keep c = 1 cheap
+    code, out, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3", "--c",
+                           "0" * (MAX_EXPONENT_DIGITS - 1) + "1")
+    assert code == 0 and json.loads(out)["l"] == 0
+    code, out, err = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3",
+                             "--c", "1.5")
+    assert (code, out) == (1, "") and "--c is not an integer: '1.5'" in err

@@ -54,6 +54,25 @@ def test_division_inverts():
             field.inv(0)
 
 
+@pytest.mark.parametrize("p, r", [
+    (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
+    (3, 4), (11, 2), (5, 3), (2, 7), (13, 2), (3, 5), (2, 8),
+])
+def test_log_tables_match_slow_path(p, r):
+    # every tabled extension field: the discrete-log tables against the
+    # slow digit-wise add and polynomial mul, all pairs up to q = 64 and
+    # fixed rows above it
+    field = Field(p, r)
+    q = field.q
+    rows = range(q) if q <= 64 else (0, 1, 2, p, q // 2, q - 2, q - 1)
+    for a in rows:
+        assert field._add[a] == [field._slow_add(a, b) for b in range(q)]
+        assert field._mul[a] == [field._slow_mul(a, b) for b in range(q)]
+        assert field._scale[a] == bytes(field._mul[a]).ljust(256, b"\0")
+    for a in range(1, q):
+        assert field._slow_mul(a, field._inv[a]) == 1
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4, Field(2, 3), Field(3, 2), Field(3, 4)])
 def test_frobenius_additive(field):
     # (a + b)^p = a^p + b^p, exhaustively for q <= 81
@@ -158,8 +177,12 @@ def test_squarefree_decomposition(data):
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="not irreducible"):
         Field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+    with pytest.raises(FieldError, match="monic of degree 2"):
+        Field(3, 2, (2, 0, 2))  # 2(x^2 + 1): irreducible over F_3, not monic
+    with pytest.raises(FieldError, match="monic of degree 3"):
+        Field(2, 3, (1, 1, 1))  # degree 2 given for r = 3
     with pytest.raises(FieldError):
         Field(4)  # not prime
     with pytest.raises(FieldError):

@@ -14,6 +14,7 @@ from coeffcount.mpoly import dense_coeffs, from_dense, parse_poly
 from coeffcount.oracle import brute_power_census
 from coeffcount.qpow import (
     QPowError,
+    QPowProfile,
     count_qpow,
     fit_qpow_profile,
     max_multiplicity,
@@ -157,6 +158,32 @@ def test_import_pulls_in_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # the records are plain slotted classes: dataclasses would import
+    # inspect, ast, dis and tokenize on every start; -S keeps site's own
+    # imports out of the probe
+    src = os.path.dirname(os.path.dirname(coeffcount.__file__))
+    code = ("import sys, coeffcount, coeffcount.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
+def test_profile_record():
+    prof = fit_qpow_profile(g("1+x^2+x^5"), F2, 1, 1)
+    same = QPowProfile(g=(1, 0, 1, 0, 0, 1), c=1, alpha=1, q=2, d=5, mu=1, l=0,
+                       u=(Fraction(80, 31),) * 5, v=prof.v)
+    assert prof == same and hash(prof) == hash(same)
+    assert prof != QPowProfile((1, 0, 1, 0, 0, 1), 1, 1, 2, 5, 1, 1, prof.u, prof.v)
+    with pytest.raises(AttributeError):
+        prof.l = 1
+    assert repr(QPowProfile(g=(1, 1), c=1, alpha=1, q=2, d=1, mu=1, l=0,
+                            u=(Fraction(1, 3),), v=(Fraction(2, 3),))) == (
+        "QPowProfile(g=(1, 1), c=1, alpha=1, q=2, d=1, mu=1, l=0, "
+        "u=(Fraction(1, 3),), v=(Fraction(2, 3),))")
 
 
 def test_profile_three_unseen_checks_per_class():

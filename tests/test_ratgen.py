@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,31 @@ def test_no_low_order_recurrence_detected():
     seq = [factorial(n) for n in range(12)]
     with pytest.raises(RecurrenceError):
         fit_recurrence(seq, 4)
+
+
+def test_records_are_frozen_values():
+    rec = LinearRecurrence((1, 1), (1, 2))
+    gf = RationalGF((1,), (1, -1, -1))
+    assert rec == LinearRecurrence(coeffs=(1, 1), initial=(1, 2))
+    assert hash(rec) == hash(LinearRecurrence((1, 1), (1, 2)))
+    assert rec != LinearRecurrence((1, 1), (1, 3))
+    assert gf == RationalGF((1,), (1, -1, -1))
+    assert hash(gf) == hash(RationalGF(num=(1,), den=(1, -1, -1)))
+    # equal fields of another record type are not equal
+    assert RationalGF((1,), (1,)) != LinearRecurrence((1,), (1,))
+    for record in (rec, gf):
+        for name in (*record.__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    # the repr text of the former dataclasses; RationalGF keeps its own
+    assert repr(rec) == "LinearRecurrence(coeffs=(1, 1), initial=(1, 2))"
+    assert (repr(LinearRecurrence((Fraction(1, 2),), (1,)))
+            == "LinearRecurrence(coeffs=(Fraction(1, 2),), initial=(1,))")
+    assert repr(gf) == "RationalGF(num=[1], den=[1, -1, -1])"
 
 
 def test_gf_expansion_examples():
