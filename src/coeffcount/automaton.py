@@ -410,37 +410,12 @@ class DigitAutomaton:
         return self.read_counts(alpha, list(iterates))
 
     def krylov_order(self) -> int:
-        """Length D of the first linear dependence among the iterate vectors.
-
-        The start vector and its images under the digit-1 matrix span a
-        space of some dimension D <= state count; every scalar sequence read
-        off these iterates then satisfies a linear recurrence of order D
-        valid from the first term on.
-
-        The iterates are eliminated modulo a 61-bit prime, stopping at the
-        first dependence r.  Independence mod p implies independence over
-        Q, so r <= D.  The relation v_r = sum c_i v_i, lifted to integers,
-        is then checked exactly on the integer vectors, which proves
-        D <= r.  The minimal polynomial of the start vector is a monic
-        integer divisor of the characteristic polynomial (Gauss's lemma),
-        and its roots are eigenvalues of a nonnegative matrix with column
-        sums q^k, so the relation is integral with entries at most
-        (1 + q^k)^D; a failed check adds primes until the lift is proven
-        (see modular.certified_lift).  The walk stops after D digits.
-        """
+        """Krylov order D of the closed automaton's digit-1 iterates: the
+        dimension they span, at most the state count, proven from the column
+        sums q^k by modular.certified_order.  The walk stops after D digits."""
         self.close()
         walk = self.walk(itertools.repeat(1))
-        iterates = [next(walk)]  # the start vector; no digit applied yet
-
-        def solve(p):
-            return _first_relation_mod(iterates, walk, p)
-
-        def holds(r, coeffs):
-            return iterates[r] == [sum(c * v[s] for c, v in zip(coeffs, iterates))
-                                   for s in range(len(self.states))]
-
-        base = 1 + self.field.q**self.f.k
-        return modular.certified_lift(solve, holds, base, len(self.states))[0]
+        return modular.certified_order(walk, self._gamma_count, self.state_count)[0]
 
     # -- checks and export ----------------------------------------------------
 
@@ -467,58 +442,6 @@ class DigitAutomaton:
                 for cols in self.transitions
             ],
         }
-
-
-def _first_relation_mod(iterates, walk, p: int):
-    """(r, c): the first iterate with v_r = sum_{i<r} c_i v_i modulo p.
-
-    Eliminates the iterates in order, drawing more from walk onto the
-    list iterates when it runs out.  Row u_j is v_j reduced by the earlier
-    rows and scaled to 1 at its pivot; the multipliers of each reduction
-    rebuild the relation in terms of the v_i by back substitution.
-
-    A row is packed into one int, one little-endian field per state, so a
-    row operation is one big-int multiply-add: adding c times the packed
-    residues of -u_j.  A field holds its residue plus one product below
-    p^2 per earlier row without carrying into the next field; entries are
-    reduced mod p only when read.
-    """
-    n = len(iterates[0])
-    width = (2 * p.bit_length() + n.bit_length()) // 8 + 1
-    bits = 8 * width
-    mask = (1 << bits) - 1
-
-    def pack(entries):
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in entries),
-                              "little")
-
-    pivots = []  # (pivot position, -u_j packed, scale s_j, multipliers of u_0..u_{j-1})
-    for m in itertools.count():
-        if m == len(iterates):
-            iterates.append(next(walk))
-        row = pack([x % p for x in iterates[m]])
-        mults = []
-        for pos, neg, _, _ in pivots:
-            c = (row >> (pos * bits) & mask) % p
-            mults.append(c)
-            if c:
-                row += c * neg
-        data = row.to_bytes(n * width, "little")
-        row = [int.from_bytes(data[i:i + width], "little") % p
-               for i in range(0, n * width, width)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            # v_m = sum_j mults[j] u_j and u_j = s_j (v_j - sum_i mults_j[i] u_i)
-            coeffs = [0] * m
-            for j in range(m - 1, -1, -1):
-                _, _, scale, row_mults = pivots[j]
-                a = coeffs[j] = mults[j] * scale % p
-                if a:
-                    for i, c in enumerate(row_mults):
-                        mults[i] = (mults[i] - a * c) % p
-            return m, coeffs
-        scale = pow(row[lead], -1, p)
-        pivots.append((lead, pack([-x * scale % p for x in row]), scale, mults))
 
 
 def build_automaton(

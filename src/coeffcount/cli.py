@@ -110,18 +110,16 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    if args.seq:
+    if args.seq is not None:
         seq = _int_list(args.seq, "--seq")
         max_order = (len(seq) - 1) // 2 if args.max_order is None else args.max_order
         rec = fit_recurrence(seq, max_order)
         gf = seq_to_genfun(seq, rec)
-    elif args.from_automaton:
+    else:
         field = parse_field(args.field)
         f = parse_poly(args.from_automaton, args.k, field)
         A = build_automaton(f, state_cap=args.state_cap)
         seq, rec, gf = fit_repunit_genfun(A, args.alpha)
-    else:
-        raise ValueError("need --seq or --from-automaton")
     emit({
         **_json_gf(gf),
         "recurrence": [str(c) for c in rec.coeffs],
@@ -312,10 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_automaton)
 
     p = sub.add_parser("genfun", help="fit a rational generating function")
-    p.add_argument("--seq", help="comma-separated integers; write "
-                   "--seq=-1,2,... when the first is negative")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--seq", help="comma-separated integers; write "
+                        "--seq=-1,2,... when the first is negative")
+    source.add_argument("--from-automaton", help="polynomial text")
     p.add_argument("--max-order", type=int)
-    p.add_argument("--from-automaton", help="polynomial text")
     p.add_argument("--field", default="2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--alpha", type=int, default=1)

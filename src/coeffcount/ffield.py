@@ -86,12 +86,12 @@ class Field:
                 if not unipoly.is_irreducible(prime, list(modulus)):
                     raise FieldError("modulus is not irreducible over F_p")
             self.modulus = modulus
-        self._add = None
-        self._mul = None
-        self._inv = None
-        self._scale = None
+        self._add = self._mul = self._inv = self._scale = None
         if q <= _TABLE_LIMIT:
-            self._build_tables()
+            # _inv[0] is a placeholder; inv() refuses 0 before reading it
+            self._add, self._mul, self._inv = self._log_tables()
+            # _scale[c] is a bytes.translate table multiplying every byte by c
+            self._scale = [bytes(row).ljust(256, b"\0") for row in self._mul]
 
     # -- encoding helpers -------------------------------------------------
 
@@ -120,30 +120,9 @@ class Field:
 
     # -- arithmetic on encodings ------------------------------------------
 
-    def _build_tables(self):
-        q = self.q
-        if self.r == 1:
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    s = self._slow_add(a, b)
-                    add[a][b] = add[b][a] = s
-                    m = self._slow_mul(a, b)
-                    mul[a][b] = mul[b][a] = m
-            inv = [0] + [mul[a].index(1) for a in range(1, q)]
-        else:
-            add, mul, inv = self._log_tables()
-        self._add = add
-        self._mul = mul
-        # _inv[0] is a placeholder; inv() refuses 0 before reading it
-        self._inv = inv
-        # _scale[c] is a bytes.translate table multiplying every byte by c
-        self._scale = [bytes(row).ljust(256, b"\0") for row in mul]
-
     def _log_tables(self):
-        """Addition, multiplication and inverse tables of an extension field
-        from q - 2 slow products (Lidl-Niederreiter, Finite Fields, ch. 9).
+        """Addition, multiplication and inverse tables from q - 2 slow
+        products (Lidl-Niederreiter, Finite Fields, ch. 9).
 
         Every nonzero element is g^k for the smallest primitive encoding g,
         so a * b = g^(log a + log b).  Addition is digit-wise mod p: XOR for
@@ -163,9 +142,9 @@ class Field:
             log[a] = k
         logs = log[1:]  # the logs of 1 .. q - 1
         exp = antilog * 2  # exp[k] = g^k for 0 <= k < 2 (q - 1)
-        # row a > 0 is 0, then exp[log a + log b] for b = 1 .. q - 1 (q > 2,
-        # so the getter returns a tuple)
-        by_log = operator.itemgetter(*logs)
+        # row a > 0 is 0, then exp[log a + log b] for b = 1 .. q - 1; a getter
+        # of one index (F_2) would return a scalar, not a tuple
+        by_log = operator.itemgetter(*logs) if order > 1 else tuple
         mul = [[0] * q] + [[0, *by_log(exp[i:i + order])] for i in logs]
         inv = [0] + [exp[order - i] for i in logs]
         if p == 2:

@@ -4,9 +4,11 @@ Berlekamp-Massey recovers the minimal linear recurrence; its integer
 coefficients give the denominator, and the denominator times the leading
 terms gives the numerator.  A sequence given on its own (`fit_recurrence`)
 is fitted over the rationals.  An automaton's repunit counts
-(`fit_repunit_genfun`) come with an order bound D from the Krylov order,
-so they are fitted modulo 61-bit primes and the lifted recurrence is
-certified by an exact integer fit on 2D + 11 terms (see modular).
+(`fit_repunit_genfun`) are read from one digit-1 walk: its first D + 1
+iterates prove the order bound D (`modular.certified_order`), and the
+same walk goes on to the 2D + 11 iterates whose counts are fitted modulo
+61-bit primes; the lifted recurrence is certified by an exact integer
+fit on all of them (see modular).
 Numerators and denominators are dense integer polynomials, added and
 multiplied by `unipoly.add/sub/mul` over `mpoly.ZZ`.  All arithmetic is
 exact (ints, Fractions and residues), never floating point.
@@ -14,6 +16,7 @@ exact (ints, Fractions and residues), never floating point.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -252,10 +255,11 @@ def seq_to_genfun(seq, rec: LinearRecurrence) -> RationalGF:
 def fit_repunit_genfun(automaton, alpha):
     """Provably-correct generating function of an automaton's repunit counts.
 
-    The iterate vectors of the digit matrix become linearly dependent at
-    some length D (at most the state count, see krylov_order); the scalar
-    sequence then satisfies an order-D recurrence valid from the first
-    term, and 2D + 11 terms are computed.
+    One digit-1 walk of the closed automaton: its first D + 1 iterates
+    prove the Krylov order D (see modular.certified_order), so the counts
+    satisfy an order-D recurrence valid from the first term, and the same
+    walk goes on to 2D + 11 iterates, whose counts are the sequence.  A bad
+    alpha is refused before any column is made or digit applied.
 
     Berlekamp-Massey runs modulo a 61-bit prime p.  The minimal recurrence
     over Q is integral with constant term 1 (Fatou), so its reduction is a
@@ -266,9 +270,13 @@ def fit_repunit_genfun(automaton, alpha):
     The lifted recurrence is therefore the unique minimal one, with int
     coefficients.  Returns (sequence, recurrence, generating function).
     """
-    D = automaton.krylov_order()
+    automaton.read_counts(alpha, [])  # refuses alpha = 0 or a non-integer
+    walk = automaton.close().walk(itertools.repeat(1))
+    q_k = automaton.field.q**automaton.f.k  # the column sum of the digit-1 matrix
+    D, iterates = modular.certified_order(walk, q_k, automaton.state_count)
     terms = 2 * D + 11
-    seq = automaton.repunit_counts(alpha, terms)
+    iterates += itertools.islice(walk, terms - len(iterates))
+    seq = automaton.read_counts(alpha, iterates)
 
     def solve(p):
         return _berlekamp_massey(seq, p)
@@ -276,8 +284,7 @@ def fit_repunit_genfun(automaton, alpha):
     def holds(L, C):
         return _recurrence(seq, C).fits(seq)
 
-    base = 1 + automaton.field.q**automaton.f.k
-    rec = _recurrence(seq, modular.certified_lift(solve, holds, base, D)[1])
+    rec = _recurrence(seq, modular.certified_lift(solve, holds, 1 + q_k, D)[1])
     gf = seq_to_genfun(seq, rec)
     if gf.expand(terms) != seq:
         raise RecurrenceError("generating function failed to reproduce the counts")

@@ -295,7 +295,10 @@ def test_usage_error_exit_2():
                  # argparse choices refuse an unknown kind before any dispatch
                  ["closed-form", "bogus", "--n", "1"],
                  ["lattice", "bogus"],
-                 ["traveling", "bogus"]):
+                 ["traveling", "bogus"],
+                 # genfun takes exactly one of its two inputs
+                 ["genfun"],
+                 ["genfun", "--seq", "1,2", "--from-automaton", "1+x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -303,12 +306,13 @@ def test_usage_error_exit_2():
 
 @pytest.mark.parametrize("argv, message", [
     (["genfun", "--seq", "1,x"], "--seq entry 2 is not an integer: 'x'"),
+    (["genfun", "--seq="], "--seq entry 1 is not an integer: ''"),
     (["lattice", "omega"], "--parts entry 1 is not an integer: ''"),
     (["lattice", "ps", "--t-vec", "1,1.5"], "--t-vec entry 2 is not an integer: '1.5'"),
     (["lattice", "mrsk", "--m-vec", "1,2,a"], "--m-vec entry 3 is not an integer: 'a'"),
     (["automaton", "--field", "2^2:1,x,1", "--poly", "1+x"],
      "--field modulus entry 2 is not an integer: 'x'"),
-], ids=["seq", "parts", "t-vec", "m-vec", "modulus"])
+], ids=["seq", "empty-seq", "parts", "t-vec", "m-vec", "modulus"])
 def test_bad_list_entry_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -55,16 +55,17 @@ def test_division_inverts():
 
 
 @pytest.mark.parametrize("p, r", [
+    (2, 1), (3, 1), (251, 1),
     (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
     (3, 4), (11, 2), (5, 3), (2, 7), (13, 2), (3, 5), (2, 8),
 ])
 def test_log_tables_match_slow_path(p, r):
-    # every tabled extension field: the discrete-log tables against the
-    # slow digit-wise add and polynomial mul, all pairs up to q = 64 and
-    # fixed rows above it
+    # every tabled extension field and some prime fields: the discrete-log
+    # tables against the slow digit-wise add and polynomial mul, all pairs
+    # of a prime field or up to q = 64, and fixed rows above it
     field = Field(p, r)
     q = field.q
-    rows = range(q) if q <= 64 else (0, 1, 2, p, q // 2, q - 2, q - 1)
+    rows = range(q) if q <= 64 or r == 1 else (0, 1, 2, p, q // 2, q - 2, q - 1)
     for a in rows:
         assert field._add[a] == [field._slow_add(a, b) for b in range(q)]
         assert field._mul[a] == [field._slow_mul(a, b) for b in range(q)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coeffcount.acceptance import corpus_poly
 from coeffcount.automaton import build_automaton
 from coeffcount.ffield import Field
 from coeffcount.mpoly import parse_poly
@@ -183,3 +184,39 @@ def test_fit_repunit_genfun_certified():
     assert rec.order == 2
     with pytest.raises(RecurrenceError):
         fit_recurrence(seq, rec.order - 1)
+
+
+@pytest.mark.parametrize("name, D", [("viii", 12), ("vp3", 4)])
+def test_fit_repunit_genfun_walks_the_iterates_once(monkeypatch, name, D):
+    # the D products that prove the Krylov order are the first D of the
+    # 2D + 10 that the counts need: 34 for viii and 18 for vp3
+    A = build_automaton(corpus_poly(name))
+    apply_digit = A.apply_digit
+    digits = []
+
+    def counted(digit, vec):
+        digits.append(digit)
+        return apply_digit(digit, vec)
+
+    monkeypatch.setattr(A, "apply_digit", counted)
+    seq, _, _ = fit_repunit_genfun(A, 1)
+    assert digits == [1] * (2 * D + 10) and len(seq) == 2 * D + 11
+    monkeypatch.undo()
+    assert A.krylov_order() == D
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (0, "alpha must be nonzero"), (2, "alpha must be nonzero"),
+    (1.5, "is not an integer"), ("1", "is not an integer"),
+])
+def test_fit_repunit_genfun_refuses_bad_alpha_first(monkeypatch, alpha, message):
+    # refused before the Krylov elimination of this 184-state automaton
+    A = build_automaton(parse_poly("1+x2^3+x1*x2+x1^2*x2^3+x1^3*x2^2", 2, F2))
+
+    def must_not_run(*args):
+        raise AssertionError("a bad alpha reached the digit walk")
+
+    monkeypatch.setattr(A, "apply_digit", must_not_run)
+    monkeypatch.setattr(A, "close", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        fit_repunit_genfun(A, alpha)
