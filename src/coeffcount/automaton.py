@@ -5,8 +5,8 @@ of integer matrices indexed by the base-q digits of n, applied to a fixed
 start vector, then read off through a per-target output vector.  States
 are "section patterns": functions from a fixed box S of exponent vectors
 to F_q, obtained by slicing a polynomial's coefficients along residue
-classes of exponents.  Only patterns actually reachable from the seed
-polynomials are materialized, which keeps the matrices small even when
+classes of exponents.  Only patterns actually reachable from the start
+pattern are materialized, which keeps the matrices small even when
 the full pattern space q^|S| is astronomical.  A (state, digit) column
 is made when a digit walk first needs it and `close()` makes the rest, so
 q-power counts (see qpow) make only the columns their walk touches.  The
@@ -79,11 +79,11 @@ def _convolve(outer, inner, add_table, mul_table):
 class DigitAutomaton:
     """Section-pattern digit automaton for one polynomial over one field.
 
-    Construction knows only the patterns of 1 and of the seeds.  A walk
-    makes the column of a (state, digit) pair the first time it needs it,
-    and the patterns the column leads to become new states; `close()` makes
-    every remaining column, breadth first, so a closed automaton has every
-    state reachable from 1 and the seeds.
+    Construction knows only the patterns of 1 and of the prefix P (1 if
+    none), where every walk starts: counts are of P * f^n.  A walk makes a
+    (state, digit) column when it first needs it, and the patterns it leads
+    to become new states; `close()` makes the rest, breadth first, so a
+    closed automaton has every state reachable from 1 and P.
 
     For a known pattern G and digit a, the polynomial f^a * (the polynomial
     with G's coefficients) is expanded and its exponents split as
@@ -104,7 +104,7 @@ class DigitAutomaton:
         initial: index of the pattern of the constant polynomial 1.
     """
 
-    def __init__(self, f: MultiPoly, state_cap: int = DEFAULT_STATE_CAP, seeds=()):
+    def __init__(self, f: MultiPoly, state_cap: int = DEFAULT_STATE_CAP, prefix=None):
         field = f.ring
         if not isinstance(field, Field):
             raise AutomatonError("automaton needs a finite-field polynomial")
@@ -116,12 +116,11 @@ class DigitAutomaton:
         k = f.k
         degs = f.var_degrees()
         bounds = [(q - 1) * d for d in degs]
-        seeds = list(seeds)
-        for g in seeds:
-            if g.k != k or g.ring != field:
-                raise AutomatonError("seed polynomial does not match f")
-            if not g.is_zero():
-                bounds = [max(b, d) for b, d in zip(bounds, g.var_degrees())]
+        if prefix is not None:
+            if prefix.k != k or prefix.ring != field:
+                raise AutomatonError("prefix polynomial does not match f")
+            if not prefix.is_zero():
+                bounds = [max(b, d) for b, d in zip(bounds, prefix.var_degrees())]
         self.field = field
         self.f = f
         self._bounds = tuple(bounds)
@@ -151,8 +150,8 @@ class DigitAutomaton:
 
         # box point 0 is the exponent vector 0
         self.initial = self._intern(bytes([field.one]) + bytes(len(box) - 1))
-        for g in seeds:
-            self._intern(self.pattern_of(g))
+        self._start = (self.initial if prefix is None
+                       else self._intern(self._pattern_of(prefix)))
 
     @property
     def state_count(self) -> int:
@@ -173,6 +172,13 @@ class DigitAutomaton:
                 cols.append(None)
             self._missing += len(self.transitions)
         return idx
+
+    def _pattern_of(self, poly: MultiPoly) -> bytes:
+        """The pattern of a polynomial whose degrees the box bounds cover."""
+        arr = bytearray(len(self._box_packed))
+        for key, c in self._packer.pack_terms(poly):
+            arr[self._delta_index[key]] = c
+        return bytes(arr)
 
     def _split(self, key: int):
         """(rank of gamma, box index of delta) for a packed exponent gamma + q*delta."""
@@ -300,32 +306,11 @@ class DigitAutomaton:
         out = [pat.count(a) for pat in self.states]
         return [sum(u * x for u, x in zip(out, vec)) for vec in vecs]
 
-    def start_vector(self, prefix: MultiPoly | None = None):
+    def start_vector(self):
+        """The unit vector of the prefix's state, where every walk starts."""
         vec = [0] * len(self.states)
-        vec[self.initial if prefix is None else self.state_index_of(prefix)] = 1
+        vec[self._start] = 1
         return vec
-
-    def state_index_of(self, poly: MultiPoly) -> int:
-        """Index of the pattern of a polynomial (must be a known state)."""
-        pat = self.pattern_of(poly)
-        try:
-            return self._state_index[pat]
-        except KeyError:
-            raise AutomatonError(
-                "pattern of the given polynomial is not a state; rebuild the "
-                "automaton passing it as a seed"
-            ) from None
-
-    def pattern_of(self, poly: MultiPoly) -> bytes:
-        if poly.k != self.f.k or poly.ring != self.field:
-            raise AutomatonError("polynomial does not match the automaton")
-        arr = bytearray(len(self._box_packed))
-        if not poly.is_zero():
-            if any(d > b for d, b in zip(poly.var_degrees(), self._bounds)):
-                raise AutomatonError("polynomial exponents fall outside the box")
-            for key, c in self._packer.pack_terms(poly):
-                arr[self._delta_index[key]] = c
-        return bytes(arr)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -355,7 +340,7 @@ class DigitAutomaton:
             vec = self.apply_digit(digit, vec)
             yield vec
 
-    def _end_vector(self, n: int, prefix: MultiPoly | None):
+    def _end_vector(self, n: int):
         """The state vector after the digits of n, jumping fixed runs.
 
         The zero pattern's column is {zero: q^k} for every digit, so once a
@@ -368,7 +353,7 @@ class DigitAutomaton:
         """
         q = self.field.q
         zero_pat = bytes(len(self._box_packed))
-        vec = self.start_vector(prefix)
+        vec = self.start_vector()
         for digit, group in itertools.groupby(base_digits(n, q)):
             run = sum(1 for _ in group)
             steps = self.walk(itertools.repeat(digit, run), vec)
@@ -384,7 +369,7 @@ class DigitAutomaton:
                 prev = vec
         return vec
 
-    def count(self, n: int, alpha, prefix: MultiPoly | None = None) -> int:
+    def count(self, n: int, alpha) -> int:
         """Exact number of coefficients of prefix * f^n equal to alpha.
 
         Costs one digit product per base-q digit of n outside zero runs,
@@ -393,14 +378,14 @@ class DigitAutomaton:
         it is fixed after at most 2 + log_q(largest box bound) products
         (see _end_vector).
         """
-        return self.read_counts(alpha, [self._end_vector(n, prefix)])[0]
+        return self.read_counts(alpha, [self._end_vector(n)])[0]
 
-    def census(self, n: int, prefix: MultiPoly | None = None):
+    def census(self, n: int):
         """Each nonzero coefficient value of prefix * f^n and its multiplicity.
 
         One walk for every value, at the cost of count().
         """
-        vecs = [self._end_vector(n, prefix)]
+        vecs = [self._end_vector(n)]
         census = {a: self.read_counts(a, vecs)[0] for a in range(1, self.field.q)}
         return {a: count for a, count in census.items() if count}
 
@@ -447,11 +432,11 @@ class DigitAutomaton:
 def build_automaton(
     f: MultiPoly,
     state_cap: int = DEFAULT_STATE_CAP,
-    seeds=(),
+    prefix: MultiPoly | None = None,
 ) -> DigitAutomaton:
-    """The closed automaton of f: every pattern reachable from 1 and the seeds.
+    """The closed automaton of f: every pattern reachable from 1 and the prefix.
 
-    States are numbered in breadth-first order from 1 and the seeds, each
+    States are numbered in breadth-first order from 1 and the prefix, each
     state's digits in order 0..q-1.
     """
-    return DigitAutomaton(f, state_cap, seeds).close()
+    return DigitAutomaton(f, state_cap, prefix).close()

@@ -38,6 +38,10 @@ from .ratgen import (
 MAX_EXPONENT_DIGITS = 20_000
 
 
+class UsageError(Exception):
+    """A flag combination argparse cannot check; exits 2 like its own errors."""
+
+
 def _int_list(text: str, option: str) -> list[int]:
     """The comma-separated integers of a list option; a bad entry is named
     by the option and its 1-based position."""
@@ -79,17 +83,24 @@ def emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
 
 
-def _parse_exponent(text: str, q: int) -> int:
+def _parse_exponent(text: str, q: int | None) -> int:
+    """The exponent --n, decimal or rep:m; rep:m needs a field size q."""
     if len(text) > MAX_EXPONENT_DIGITS:
         raise ValueError(f"exponent longer than {MAX_EXPONENT_DIGITS} characters")
-    if text.startswith("rep:"):
-        m = int(text[4:])
-        if m < 0:
-            raise ValueError(f"rep:m needs m >= 0, got {m}")
-        if m > MAX_EXPONENT_DIGITS:
-            raise ValueError(f"rep:m needs m <= {MAX_EXPONENT_DIGITS}, got {m}")
-        return (q**m - 1) // (q - 1)
-    return int(text)
+    rep = text.startswith("rep:")
+    if rep and q is None:
+        raise ValueError("--n rep:m needs a field; give --field")
+    try:
+        value = int(text[4:] if rep else text)
+    except ValueError:
+        raise ValueError(f"--n is not an integer or rep:m: {text!r}") from None
+    if not rep:
+        return value
+    if value < 0:
+        raise ValueError(f"rep:m needs m >= 0, got {value}")
+    if value > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"rep:m needs m <= {MAX_EXPONENT_DIGITS}, got {value}")
+    return (q**value - 1) // (q - 1)
 
 
 def cmd_automaton(args) -> int:
@@ -97,12 +108,11 @@ def cmd_automaton(args) -> int:
     f = parse_poly(args.poly, args.k, field)
     n = None if args.n is None else _parse_exponent(args.n, field.q)
     prefix = parse_poly(args.prefix, args.k, field) if args.prefix else None
-    seeds = [] if prefix is None else [prefix]
-    A = build_automaton(f, state_cap=args.state_cap, seeds=seeds)
+    A = build_automaton(f, state_cap=args.state_cap, prefix=prefix)
     out = {"states": A.state_count}
     if n is not None:
         out["n"] = _json_int(n)
-        out["count"] = _json_int(A.count(n, args.alpha, prefix=prefix))
+        out["count"] = _json_int(A.count(n, args.alpha))
     if args.dump_states:
         out["automaton"] = A.to_json_dict()
     emit(out)
@@ -162,6 +172,8 @@ def cmd_qpow(args) -> int:
 def cmd_closed_form(args) -> int:
     kind = args.kind
     if kind == "lucas":
+        if args.m is None:
+            raise UsageError("closed-form lucas needs --m")
         emit({"value": closed_forms.lucas_binomial(args.n, args.m, args.p)})
     elif kind == "binom-census":
         census, total = closed_forms.binomial_row_census(args.n, args.p)
@@ -245,30 +257,28 @@ def cmd_traveling(args) -> int:
 
 def cmd_oracle(args) -> int:
     ring = parse_field(args.field) if args.field else ZZ
-    if args.poly:
-        f = parse_poly(args.poly, args.k, ring)
-        if not isinstance(ring, Field):
-            brute = brute_power_census(f, int(args.n), args.alpha,
-                                       budget=args.budget_terms)
-            emit({"oracle": _json_int(brute)})
-            return 0
-        n = _parse_exponent(args.n, ring.q)
-        # the automaton refuses a field or an alpha it cannot count with at
-        # once, so it counts first, before the slow expansion
-        fast = DigitAutomaton(f, args.state_cap).count(n, args.alpha)
-        brute = brute_power_census(f, n, args.alpha, budget=args.budget_terms)
-        verdict = "PASS" if fast == brute else "FAIL"
-        print(f"oracle={brute} automaton={fast} {verdict}", file=sys.stderr)
-        emit({"oracle": _json_int(brute), "automaton": _json_int(fast),
-              "verdict": verdict})
-        return 0 if verdict == "PASS" else 1
-    if args.factors:
+    if args.factors is not None:
         factors = [parse_poly(t, args.k, ring) for t in args.factors.split(";")]
         N, census = brute_product_census(factors, budget=args.budget_terms)
         emit({"distinct": _json_int(N),
               "census": {str(k): _json_int(v) for k, v in sorted(census.items())}})
         return 0
-    raise ValueError("need --poly or --factors")
+    over_field = isinstance(ring, Field)
+    n = _parse_exponent(args.n, ring.q if over_field else None)
+    f = parse_poly(args.poly, args.k, ring)
+    if not over_field:
+        brute = brute_power_census(f, n, args.alpha, budget=args.budget_terms)
+        emit({"oracle": _json_int(brute)})
+        return 0
+    # the automaton refuses a field or an alpha it cannot count with at
+    # once, so it counts first, before the slow expansion
+    fast = DigitAutomaton(f, args.state_cap).count(n, args.alpha)
+    brute = brute_power_census(f, n, args.alpha, budget=args.budget_terms)
+    verdict = "PASS" if fast == brute else "FAIL"
+    print(f"oracle={brute} automaton={fast} {verdict}", file=sys.stderr)
+    emit({"oracle": _json_int(brute), "automaton": _json_int(fast),
+          "verdict": verdict})
+    return 0 if verdict == "PASS" else 1
 
 
 def cmd_verify(args) -> int:
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="number of variables")
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--n", help="exponent, decimal or rep:m")
-    p.add_argument("--prefix", help="optional prefix polynomial")
+    p.add_argument("--prefix", help="count the coefficients of prefix * f^n")
     p.add_argument("--dump-states", action="store_true")
     p.set_defaults(func=cmd_automaton)
 
@@ -361,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross checks")
     p.add_argument("--field", default="")
-    p.add_argument("--poly")
-    p.add_argument("--factors", help="semicolon-separated factor polynomials")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly")
+    source.add_argument("--factors", help="semicolon-separated factor polynomials")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--n", default="1")
@@ -383,6 +394,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, BudgetError, AutomatonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -107,12 +107,22 @@ def test_repunit_base_digit():
 def test_prefix_counting():
     f = parse_poly("1+x", 1, F2)
     g = parse_poly("1+x+x^3", 1, F2)
-    A = build_automaton(f, seeds=[g])
+    A = build_automaton(f, prefix=g)
     for n in (0, 1, 5, 12, 30):
         want = brute_power_census(g * f.pow(n), 1, 1)
-        assert A.count(n, 1, prefix=g) == want
+        assert A.count(n, 1) == want
     for n in (0, 7, 30):
-        assert A.census(n, prefix=g) == (g * f.pow(n)).coeff_census()
+        assert A.census(n) == (g * f.pow(n)).coeff_census()
+    # every walk starts at the prefix's state, the repunit walk too
+    assert A.repunit_counts(1, 6) == [brute_power_census(g * f.pow(2**m - 1), 1, 1)
+                                      for m in range(6)]
+
+
+def test_prefix_must_match_f():
+    f = parse_poly("1+x", 1, F2)
+    for prefix in (parse_poly("1+x1", 2, F2), parse_poly("1+x", 1, F3)):
+        with pytest.raises(AutomatonError, match="prefix polynomial does not match f"):
+            DigitAutomaton(f, prefix=prefix)
 
 
 CENSUS_FIELDS = {2: Field(2), 3: F3, 4: F4, 5: Field(5), 7: Field(7),
@@ -181,14 +191,6 @@ def test_base_digits():
         base_digits(-1, 2)
     with pytest.raises(ValueError):
         build_automaton(parse_poly("1+x", 1, F2)).census(-5)
-
-
-def test_prefix_needs_seed():
-    f = parse_poly("1+x", 1, F2)
-    g = parse_poly("1+x^3", 1, F2)
-    A = build_automaton(f)  # box too small for g, and no seed
-    with pytest.raises(AutomatonError):
-        A.count(3, 1, prefix=g)
 
 
 UNCLOSED_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5)}
@@ -273,21 +275,20 @@ def test_run_jumps_match_the_plain_walk(q, k, data):
     if data.draw(st.booleans()):
         prefix_exps = data.draw(polys)
         prefix = MultiPoly(k, field, {e: 1 for e in prefix_exps})
-    seeds = [] if prefix is None else [prefix]
     try:
-        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, seeds=seeds)
+        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, prefix=prefix)
     except StateCapError:
         assume(False)
     n = _zero_run_exponent(data, q)
     digits = base_digits(n, q)
 
-    *_, plain = closed.walk(digits, closed.start_vector(prefix))
-    assert closed._end_vector(n, prefix) == plain
+    *_, plain = closed.walk(digits)
+    assert closed._end_vector(n) == plain
 
     # on unclosed automata the jump makes the same states as a plain walk
-    lazy, walked = DigitAutomaton(f, seeds=seeds), DigitAutomaton(f, seeds=seeds)
-    assert lazy.census(n, prefix) == closed.census(n, prefix)
-    for _ in walked.walk(digits, walked.start_vector(prefix)):
+    lazy, walked = DigitAutomaton(f, prefix=prefix), DigitAutomaton(f, prefix=prefix)
+    assert lazy.census(n) == closed.census(n)
+    for _ in walked.walk(digits):
         pass
     assert lazy.state_count == walked.state_count
 
@@ -384,7 +385,7 @@ POWER_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5), 7: Field(7)}
 )
 def test_packed_powers_match_sparse_products(q, k, data):
     # f^0 .. f^(q-1) made on packed keys equal the sparse products, also
-    # when a seed widens the box and with it the packer's fields
+    # when a prefix widens the box and with it the packer's fields
     field = POWER_FIELDS[q]
     terms = st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * k),
                      min_size=1, max_size=4, unique=True)
@@ -392,10 +393,9 @@ def test_packed_powers_match_sparse_products(q, k, data):
     coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
                                 min_size=len(exps), max_size=len(exps)))
     f = MultiPoly(k, field, dict(zip(exps, coeffs)))
-    seed_exps = data.draw(st.lists(
+    prefix_exps = data.draw(st.lists(
         st.tuples(*[st.integers(min_value=0, max_value=4 * q)] * k), max_size=2))
-    seeds = [MultiPoly(k, field, {e: 1 for e in seed_exps})]
-    A = DigitAutomaton(f, seeds=seeds)
+    A = DigitAutomaton(f, prefix=MultiPoly(k, field, {e: 1 for e in prefix_exps}))
     power = MultiPoly.one(k, field)
     for packed in A._f_pows_packed:
         assert packed == A._packer.pack_terms(power)
@@ -404,9 +404,9 @@ def test_packed_powers_match_sparse_products(q, k, data):
 
 
 def test_box_points_follow_product_order():
-    # bounds (q-1) deg_i f = (1, 2, 1), widened to (2, 2, 1) by the seed
+    # bounds (q-1) deg_i f = (1, 2, 1), widened to (2, 2, 1) by the prefix
     A = build_automaton(parse_poly("1+x1+x2^2+x3", 3, F2),
-                        seeds=[parse_poly("x1^2", 3, F2)])
+                        prefix=parse_poly("x1^2", 3, F2))
     data = A.to_json_dict()
     assert data["box_bounds"] == [2, 2, 1]
     assert data["box_points"] == [
@@ -422,8 +422,8 @@ def test_construction_never_calls_the_sparse_product(monkeypatch):
         raise AssertionError("automaton set-up called MultiPoly.mul")
 
     monkeypatch.setattr(MultiPoly, "mul", refuse)
-    for f, seed in cases:
-        A = DigitAutomaton(f, seeds=[] if seed is None else [seed]).close()
+    for f, prefix in cases:
+        A = DigitAutomaton(f, prefix=prefix).close()
         assert A.count(7, 1) >= 0 and not A.column_sum_violations()
 
 
@@ -447,12 +447,12 @@ def _expanded_column(A, state, a):
 @given(
     q=st.sampled_from(sorted(ORBIT_FIELDS)),
     k=st.integers(min_value=1, max_value=2),
-    seeded=st.booleans(),
+    prefixed=st.booleans(),
     data=st.data(),
 )
-def test_scaled_columns_equal_their_expansion(q, k, seeded, data):
+def test_scaled_columns_equal_their_expansion(q, k, prefixed, data):
     # a column made by scaling an orbit mate's column equals the state's
-    # own expansion, with or without seeds
+    # own expansion, with or without a prefix
     field = ORBIT_FIELDS[q]
     exps = data.draw(st.lists(
         st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
@@ -460,16 +460,17 @@ def test_scaled_columns_equal_their_expansion(q, k, seeded, data):
     coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
                                 min_size=len(exps), max_size=len(exps)))
     f = MultiPoly(k, field, dict(zip(exps, coeffs)))
-    seeds = []
-    if seeded:
-        seed_exps = data.draw(st.lists(
+    prefix = None
+    if prefixed:
+        prefix_exps = data.draw(st.lists(
             st.tuples(*[st.integers(min_value=0, max_value=q)] * k),
             min_size=1, max_size=2, unique=True))
-        seed_coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
-                                         min_size=len(seed_exps), max_size=len(seed_exps)))
-        seeds = [MultiPoly(k, field, dict(zip(seed_exps, seed_coeffs)))]
+        prefix_coeffs = data.draw(st.lists(
+            st.integers(min_value=1, max_value=q - 1),
+            min_size=len(prefix_exps), max_size=len(prefix_exps)))
+        prefix = MultiPoly(k, field, dict(zip(prefix_exps, prefix_coeffs)))
     try:
-        A = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, seeds=seeds)
+        A = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, prefix=prefix)
     except StateCapError:
         assume(False)
     for a in range(q):

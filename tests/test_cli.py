@@ -1,5 +1,7 @@
 import decimal
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -237,6 +239,10 @@ GOLDEN = Path(__file__).parent / "golden"
      "automaton --field 2 --poly 1+x1+x2+x2^2 --k 2 --n rep:6 --dump-states"),
     ("automaton_f3_n100_alpha2_dump",
      "automaton --field 3 --poly 2+x+x^2 --n 100 --alpha 2 --dump-states"),
+    # P * f^n: the prefix's pattern is state 1, right after the pattern of 1
+    ("automaton_f3_k2_prefix_n100_alpha2_dump",
+     "automaton --field 3 --k 2 --poly 1+x1+2*x2^2 --prefix 1+x2+x1^2 --n 100 "
+     "--alpha 2 --dump-states"),
     ("genfun_from_automaton_f2_k2",
      "genfun --from-automaton 1+x1+x2+x2^2 --k 2 --field 2"),
     # 111 states, Krylov order 96, recurrence order 54: the certified
@@ -296,9 +302,13 @@ def test_usage_error_exit_2():
                  ["closed-form", "bogus", "--n", "1"],
                  ["lattice", "bogus"],
                  ["traveling", "bogus"],
-                 # genfun takes exactly one of its two inputs
+                 # genfun and oracle take exactly one of their two inputs
                  ["genfun"],
-                 ["genfun", "--seq", "1,2", "--from-automaton", "1+x"]):
+                 ["genfun", "--seq", "1,2", "--from-automaton", "1+x"],
+                 ["oracle"],
+                 ["oracle", "--poly", "1+x", "--factors", "1+x;x"],
+                 # lucas reads --m, which the other closed forms may omit
+                 ["closed-form", "lucas", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -357,14 +367,25 @@ def test_exact_integers_past_the_decimal_digit_cap(capsys):
       str(10**9)], f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}"),
     (["qpow", "--field", "2", "--g", "1+x+x^3", "--c",
       "0" * MAX_EXPONENT_DIGITS + "1"], f"--c longer than {MAX_EXPONENT_DIGITS}"),
+    # over the integers --n is read by the same bounded parser
+    (["oracle", "--poly", "1+x", "--n", "9" * (MAX_EXPONENT_DIGITS + 1)],
+     "exponent longer than"),
+    (["oracle", "--poly", "1+x", "--n", "rep:3"],
+     "--n rep:m needs a field; give --field"),
+    (["oracle", "--poly", "1+x", "--n", "3.0"],
+     "--n is not an integer or rep:m: '3.0'"),
+    (["automaton", "--field", "2", "--poly", "1+x", "--n", "rep:x"],
+     "--n is not an integer or rep:m: 'rep:x'"),
 ])
 def test_long_exponents_refused_up_front(capsys, monkeypatch, argv, message):
-    # refused before any automaton is built or q-power profile fitted
+    # refused before any automaton is built, q-power profile fitted or
+    # power expanded
     def never(*args, **kwargs):
         raise AssertionError("the refusal came too late")
 
     monkeypatch.setattr(cli, "build_automaton", never)
     monkeypatch.setattr(cli.qpow, "fit_qpow_profile", never)
+    monkeypatch.setattr(cli, "brute_power_census", never)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and message in err
 
@@ -377,3 +398,93 @@ def test_qpow_c_at_the_length_bound(capsys):
     code, out, err = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3",
                              "--c", "1.5")
     assert (code, out) == (1, "") and "--c is not an integer: '1.5'" in err
+
+
+def _power_mod(base, n, p):
+    """Dense coefficients of base(x)^n mod p, by n schoolbook products."""
+    out = [1]
+    for _ in range(n):
+        prod = [0] * (len(out) + len(base) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(base):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        out = prod
+    return out
+
+
+def _chain_count(n, p):
+    """Nonzero coefficients of prod_{i<=n} (1 + x_i + x_{i+1}) over F_p."""
+    terms = {(0,) * (n + 1): 1}
+    for i in range(n):
+        prod = {}
+        for e, c in terms.items():
+            for var in (None, i, i + 1):
+                e2 = e if var is None else e[:var] + (e[var] + 1,) + e[var + 1:]
+                prod[e2] = (prod.get(e2, 0) + c) % p
+        terms = prod
+    return sum(1 for c in terms.values() if c)
+
+
+def _schroeder(n):
+    """Large Schroeder numbers by S(m) = S(m-1) + sum_k S(k) S(m-1-k)."""
+    s = [1]
+    for m in range(1, n + 1):
+        s.append(s[m - 1] + sum(s[k] * s[m - 1 - k] for k in range(m)))
+    return s[n]
+
+
+def _series(num, den, terms):
+    """The first terms of num / den as a power series, den[0] = 1."""
+    out = []
+    for i in range(terms):
+        c = (num[i] if i < len(num) else 0) - sum(
+            den[j] * out[i - j] for j in range(1, min(i, len(den) - 1) + 1))
+        out.append(c)
+    return out
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("argv, check", [
+    # the nonzero coefficients of (1 + x + x^2)^5 mod 3, and its x^4 one
+    ("closed-form prop23 --n 5 --p 3",
+     lambda out, err: out == {"count": str(sum(map(bool, _power_mod([1, 1, 1], 5, 3))))}),
+    ("closed-form prop23 --n 5 --m 4 --p 3",
+     lambda out, err: out["coeff"] == _power_mod([1, 1, 1], 5, 3)[4]),
+    # paths to (5, 2) under the staircase with columns 2 and 4 for the
+    # first and second up step: the up steps' columns, enumerated
+    ("lattice paths --n 3 --s 2 --t 1",
+     lambda out, err: set(out.values()) == {str(sum(
+         1 for xs in itertools.combinations_with_replacement(range(6), 2)
+         if xs[0] >= 2 and xs[1] >= 4))}),
+    # the (1, 3) traveling counts are F(2n + 2)
+    ("traveling genfun --j 1 --k 3",
+     lambda out, err: _series([int(c) for c in out["numerator"]],
+                              [int(c) for c in out["denominator"]], 8)
+     == [_fibonacci(2 * n + 2) for n in range(8)]),
+    ("traveling h-seq --p 3 --terms 6",
+     lambda out, err: out["terms"] == [str(_chain_count(n, 3)) for n in range(6)]),
+    ("traveling d-counts --n 5 --k 0",
+     lambda out, err: out == {"schroeder": str(_schroeder(5)),
+                              "oracle": str(_schroeder(5))}),
+    # over the integers: the multinomial coefficients of (1 + x1 + x2)^3 equal to 3
+    ("oracle --poly 1+x1+x2 --k 2 --n 3 --alpha 3",
+     lambda out, err: out["oracle"] == str(sum(
+         1 for a in range(4) for b in range(4 - a)
+         if math.factorial(3) // (math.factorial(a) * math.factorial(b)
+                                  * math.factorial(3 - a - b)) == 3))),
+    # the worked example 1 + x over F_2 has the patterns of 1 and of 0
+    ("verify --suite full --verbose",
+     lambda out, err: out["passed"] == err.count("PASS ") and
+     "PASS [C1] automaton = oracle for w (n <= 64, all alpha) -- 2 states\n" in err),
+], ids=["prop23", "prop23-m", "paths", "traveling-genfun", "h-seq",
+        "d-counts-k0", "oracle-integers", "verify-verbose"])
+def test_remaining_cli_branches(capsys, argv, check):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert check(json.loads(out), err)

@@ -115,6 +115,40 @@ def test_tiny_primes_take_every_retry_path(monkeypatch):
     assert unlucky and failed and crt
 
 
+def test_lift_drops_an_order_proven_too_small():
+    # The first primes find order 1 and residues of no solution.  Once
+    # their modulus passes 2 * base^1, order 1 is dropped for good: later
+    # primes that find it are skipped, not lifted again, and the primes
+    # that find order 2 certify the true solution.
+    true = [3, -4]
+    orders = iter([1, 1, 1, 2])
+    checked = []
+
+    def solve(p):
+        order = next(orders)
+        return order, [5] if order == 1 else [c % p for c in true]
+
+    def holds(order, ints):
+        checked.append((order, ints))
+        return ints == true
+
+    assert modular.certified_lift(solve, holds, 2, 3) == (2, true)
+    assert checked == [(1, [5]), (2, true)]
+
+
+def test_lift_refuses_once_the_largest_order_fails():
+    # order 1 is dropped, then order 2 = limit fails past its bound too:
+    # the lift raises at once instead of drawing another prime
+    orders = iter([1, 2])
+
+    def solve(p):
+        order = next(orders)
+        return order, [5] * order
+
+    with pytest.raises(ArithmeticError, match="no integer solution of order 2"):
+        modular.certified_lift(solve, lambda order, ints: False, 2, 2)
+
+
 def test_large_automaton_fit_order():
     # 184 states: the Krylov order is 164 and the minimal recurrence of
     # the counts has order 129
