@@ -258,22 +258,26 @@ def cmd_traveling(args) -> int:
 def cmd_oracle(args) -> int:
     ring = parse_field(args.field) if args.field else ZZ
     if args.factors is not None:
+        if args.n is not None or args.alpha is not None:
+            raise UsageError("oracle --factors takes neither --n nor --alpha")
         factors = [parse_poly(t, args.k, ring) for t in args.factors.split(";")]
         N, census = brute_product_census(factors, budget=args.budget_terms)
         emit({"distinct": _json_int(N),
               "census": {str(k): _json_int(v) for k, v in sorted(census.items())}})
         return 0
     over_field = isinstance(ring, Field)
-    n = _parse_exponent(args.n, ring.q if over_field else None)
+    n = _parse_exponent("1" if args.n is None else args.n,
+                        ring.q if over_field else None)
+    alpha = 1 if args.alpha is None else args.alpha
     f = parse_poly(args.poly, args.k, ring)
     if not over_field:
-        brute = brute_power_census(f, n, args.alpha, budget=args.budget_terms)
+        brute = brute_power_census(f, n, alpha, budget=args.budget_terms)
         emit({"oracle": _json_int(brute)})
         return 0
     # the automaton refuses a field or an alpha it cannot count with at
     # once, so it counts first, before the slow expansion
-    fast = DigitAutomaton(f, args.state_cap).count(n, args.alpha)
-    brute = brute_power_census(f, n, args.alpha, budget=args.budget_terms)
+    fast = DigitAutomaton(f, args.state_cap).count(n, alpha)
+    brute = brute_power_census(f, n, alpha, budget=args.budget_terms)
     verdict = "PASS" if fast == brute else "FAIL"
     print(f"oracle={brute} automaton={fast} {verdict}", file=sys.stderr)
     emit({"oracle": _json_int(brute), "automaton": _json_int(fast),
@@ -375,8 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--poly")
     source.add_argument("--factors", help="semicolon-separated factor polynomials")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--n", default="1")
+    # --poly reads n = 1 and alpha = 1 when they are omitted; --factors
+    # refuses both
+    p.add_argument("--alpha", type=int)
+    p.add_argument("--n")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

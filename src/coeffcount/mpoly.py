@@ -207,8 +207,9 @@ class MultiPoly:
                     out[key] = c
             if len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in multiplication")
-        if not all(out.values()):
-            out = {key: c for key, c in out.items() if c}
+        if not all(out.values()):  # prune cancelled keys in place, no copy
+            for key in [key for key, c in out.items() if not c]:
+                del out[key]
         return MultiPoly._product(k, ring, out, layout, degs)
 
     def __mul__(self, other):
@@ -354,7 +355,7 @@ def dense_coeffs(f: MultiPoly):
 
 def from_dense(coeffs, ring) -> MultiPoly:
     """Univariate MultiPoly from a dense constant-first coefficient list."""
-    return MultiPoly(1, ring, {(i,): c for i, c in enumerate(coeffs) if c})
+    return MultiPoly(1, ring, {(i,): c for i, c in enumerate(coeffs)})
 
 
 # -- parsing -------------------------------------------------------------------

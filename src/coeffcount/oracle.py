@@ -8,7 +8,10 @@ Exponent vectors are packed into single integers by mpoly.ExponentPacker
 (fixed bit width per variable, wide enough for the full product) purely to
 make dict keys cheap; the arithmetic is still the schoolbook convolution,
 written out here rather than shared with MultiPoly.mul.  Over a field with
-operation tables (q <= 256) the convolution indexes them inline.
+operation tables (q <= 256) the convolution indexes them inline.  Each
+product fills one result dict and deletes its cancelled keys in place, so
+at its peak a product holds the accumulator, the factor and that one dict;
+the surviving keys keep their insertion order.
 """
 
 from __future__ import annotations
@@ -36,20 +39,24 @@ def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
                     out[key] = add_table[prev][times_fc[ac]]
             if len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in oracle expansion")
-        return {e: c for e, c in out.items() if c}
-    radd = ring.add
-    rmul = ring.mul
-    for fe, fc in factor:
-        for ae, ac in acc.items():
-            key = ae + fe
-            prev = get(key)
-            if prev is None:
-                out[key] = rmul(ac, fc)
-            else:
-                out[key] = radd(prev, rmul(ac, fc))
-        if len(out) > budget:
-            raise BudgetError(f"term budget {budget} exceeded in oracle expansion")
-    return {e: c for e, c in out.items() if c}
+    else:
+        radd = ring.add
+        rmul = ring.mul
+        for fe, fc in factor:
+            for ae, ac in acc.items():
+                key = ae + fe
+                prev = get(key)
+                if prev is None:
+                    out[key] = rmul(ac, fc)
+                else:
+                    out[key] = radd(prev, rmul(ac, fc))
+            if len(out) > budget:
+                raise BudgetError(f"term budget {budget} exceeded in oracle expansion")
+    # cancelled keys leave the one result dict in place: a filtered copy
+    # would hold a second dict of its size while out and acc are alive
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
 
 
 def _ladder(f: MultiPoly, n: int, budget: int | None):
@@ -86,17 +93,23 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
     Expands f^n by n products into one accumulator.  Over a field, alpha
     is an integer made an encoding by Field.encoding; over ZZ it is a
     plain integer.  With alpha=None the whole census dict is returned.
+    alpha = 0 is refused before the expansion: the census holds nonzero
+    coefficients only.
     """
+    if alpha is not None:
+        if isinstance(f.ring, Field):
+            alpha = f.ring.encoding(alpha)
+        if alpha == 0:
+            raise ValueError(
+                "alpha must be nonzero; zero-coefficient counts follow from "
+                "N + N_0 = number of coefficient slots"
+            )
     budget, factor = _ladder(f, n, budget)
     acc = {0: f.ring.one}
     for _ in range(n):
         acc = _mul_packed(acc, factor, f.ring, budget)
     census = Counter(acc.values())
-    if alpha is None:
-        return census
-    if isinstance(f.ring, Field):
-        alpha = f.ring.encoding(alpha)
-    return census.get(alpha, 0)
+    return census if alpha is None else census.get(alpha, 0)
 
 
 def brute_product_census(factors, budget: int | None = None):

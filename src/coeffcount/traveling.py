@@ -22,7 +22,7 @@ from math import comb
 from . import unipoly
 from .automaton import DigitAutomaton
 from .combinat import narayana
-from .ffield import Field
+from .ffield import Field, is_prime
 from .mpoly import ZZ, MultiPoly, linear_product
 from .ratgen import RationalGF
 
@@ -40,6 +40,8 @@ def h_genfun(p: int) -> RationalGF:
     Equals (1 - z^p) / ((1 - z)^2 - z(1 - z^p)), stored in the cleared
     form (1 + z + ... + z^(p-1)) / (1 - 2z - z^2 - ... - z^p).
     """
+    if not is_prime(p):
+        raise TravelingError(f"{p} is not prime")
     num = [1] * p
     den = [1, -2] + [-1] * (p - 1)
     return RationalGF.make(num, den)

@@ -136,6 +136,15 @@ def test_oracle_refuses_what_the_automaton_refuses_before_the_expansion(
     assert (code, out, err) == (1, "", message)
 
 
+def test_oracle_refuses_alpha_zero_over_the_integers(capsys):
+    # the census holds nonzero coefficients only, so alpha = 0 read 0 here
+    # although 1 + x^2 has a zero coefficient at x
+    code, out, err = run_cli(capsys, "oracle", "--poly", "1+x^2", "--n", "1",
+                             "--alpha", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: alpha must be nonzero")
+
+
 def test_oracle_refuses_a_negative_exponent(capsys):
     # over ZZ the exponent is a plain int; f^-1 is refused, not read off f^0
     code, out, err = run_cli(capsys, "oracle", "--poly", "1+x", "--n", "-1")
@@ -307,6 +316,9 @@ def test_usage_error_exit_2():
                  ["genfun", "--seq", "1,2", "--from-automaton", "1+x"],
                  ["oracle"],
                  ["oracle", "--poly", "1+x", "--factors", "1+x;x"],
+                 # a product of factors has no exponent and no alpha
+                 ["oracle", "--field", "3", "--factors", "1+x;1+2*x", "--n", "7"],
+                 ["oracle", "--field", "3", "--factors", "1+x;1+2*x", "--alpha", "2"],
                  # lucas reads --m, which the other closed forms may omit
                  ["closed-form", "lucas", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,13 @@
+import functools
+import sys
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coeffcount.ffield import Field
 from coeffcount import oracle
-from coeffcount.mpoly import BudgetError, MultiPoly, ZZ, parse_poly
+from coeffcount.mpoly import BudgetError, ExponentPacker, MultiPoly, ZZ, parse_poly
 from coeffcount.oracle import (
     brute_power_census,
     brute_product_census,
@@ -10,6 +15,9 @@ from coeffcount.oracle import (
 )
 
 F2 = Field(2)
+F3 = Field(3)
+F4 = Field(2, 2)
+F257 = Field(257)  # above the table bound: the ring branch of _mul_packed
 
 
 def test_power_census_examples():
@@ -102,3 +110,84 @@ def test_budget_enforced():
 def test_mismatched_factors_rejected():
     with pytest.raises(ValueError):
         brute_product_census([parse_poly("x1", 1, ZZ), parse_poly("x1", 2, ZZ)])
+
+
+@pytest.mark.parametrize("ring, alpha", [(ZZ, 0), (F3, 0), (F3, 3), (F4, 0)],
+                         ids=["ZZ", "F3", "F3-p", "F4"])
+def test_alpha_zero_refused_before_the_ladder(monkeypatch, ring, alpha):
+    # (1 + x^2)^1 has a zero coefficient at x, but the pruned census holds
+    # none, so alpha = 0 would read 0 for every power
+    def never(*args, **kwargs):
+        raise AssertionError("the ladder started")
+
+    monkeypatch.setattr(oracle, "_mul_packed", never)
+    f = parse_poly("1+x^2", 1, ring)
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
+        brute_power_census(f, 1, alpha)
+
+
+# coefficient pools that make cancellations likely: over ZZ and F_257 a
+# coefficient and its negative, over the tabled fields every nonzero value
+POOLS = {"F2": (F2, [1]), "F3": (F3, [1, 2]), "F4": (F4, [1, 2, 3]),
+         "F257": (F257, [1, 2, 255, 256]), "ZZ": (ZZ, [-2, -1, 1, 2])}
+
+
+@st.composite
+def cancelling_factors(draw):
+    ring, pool = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    factors = draw(st.lists(st.dictionaries(exps, st.sampled_from(pool),
+                                            min_size=1, max_size=4),
+                            min_size=1, max_size=4))
+    return [MultiPoly(2, ring, terms) for terms in factors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_factors())
+@example([parse_poly("x1+x2", 2, ZZ), parse_poly("x1-x2", 2, ZZ)])
+@example([parse_poly("1+x1", 2, F2)] * 2)
+@example([parse_poly("1+x1+x2", 2, F3)] * 3)
+@example([parse_poly("1+x1", 2, F257), parse_poly("1+256*x1", 2, F257)])
+def test_pruned_products_match_multipoly_mul(factors):
+    product = functools.reduce(MultiPoly.mul, factors)
+    n, census = brute_product_census(factors)
+    assert (n, census) == (product.num_terms, product.coeff_census())
+    assert 0 not in census and all(product._held().values())
+
+
+def _peak_bytes(call):
+    """The traced peak of call() above what was held before it, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - before, out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, ring", [("oracle", F3), ("oracle", ZZ), ("mpoly", ZZ)],
+                         ids=["oracle-tabled", "oracle-ring", "mpoly"])
+def test_one_product_holds_one_result_dict(kernel, ring):
+    # a 100 x 100 box of ones whose first column alternates in sign, times
+    # 1 + x1: 99 of the 10100 keys cancel.  The product's traced peak is
+    # about 2.1 times the result dict (the dict, its last resize and its new
+    # int keys); a filtered copy of the result adds a second dict on top,
+    # for about 3.6 times
+    side = 100
+    terms = {(i, j): 1 for i in range(side) for j in range(side)}
+    for i in range(side):
+        terms[(i, 0)] = ring.neg(1) if i % 2 else 1
+    box = MultiPoly(2, ring, terms)
+    shift = parse_poly("1+x1", 2, ring)
+    if kernel == "oracle":
+        packer = ExponentPacker([side, side - 1])
+        acc = dict(packer.pack_terms(box))
+        factor = packer.pack_terms(shift)
+        peak, out = _peak_bytes(lambda: oracle._mul_packed(acc, factor, ring, 10**7))
+    else:
+        held = box.mul(MultiPoly.one(2, ring))  # on the product's packed keys
+        peak, product = _peak_bytes(lambda: held.mul(shift))
+        out = product._held()
+    assert len(out) == side * (side + 1) - (side - 1) and all(out.values())
+    assert peak < 2.5 * sys.getsizeof(out)

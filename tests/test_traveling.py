@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from coeffcount.cli import main
 from coeffcount.combinat import fibonacci, narayana
 from coeffcount.ffield import Field
 from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
@@ -48,6 +49,15 @@ def test_h_series():
         series = h_seq(p, 6)
         for n in range(6):
             assert h_poly(p, n).num_terms == series[n], (p, n)
+
+
+@pytest.mark.parametrize("p", [0, -2, 1, 4])
+def test_h_series_needs_a_prime(capsys, p):
+    # the chain series is a census over F_p, as h_poly's Field(p) demands
+    with pytest.raises(TravelingError, match=f"{p} is not prime"):
+        h_genfun(p)
+    assert main(["traveling", "h-seq", "--p", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"error: {p} is not prime\n")
 
 
 def test_univariate_chain():
