@@ -32,12 +32,16 @@ large are far beyond what pattern enumeration could handle anyway).
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import modular
 from .ffield import _TABLE_LIMIT, Field
 from .mpoly import ExponentPacker, MultiPoly
 
 DEFAULT_STATE_CAP = 100_000
+# box points Π(b_i + 1) an automaton may have; the box is refused before
+# anything the size of it is allocated
+MAX_BOX_POINTS = 1 << 20
 
 
 class AutomatonError(RuntimeError):
@@ -121,6 +125,10 @@ class DigitAutomaton:
                 raise AutomatonError("prefix polynomial does not match f")
             if not prefix.is_zero():
                 bounds = [max(b, d) for b, d in zip(bounds, prefix.var_degrees())]
+        points = math.prod(b + 1 for b in bounds)
+        if points > MAX_BOX_POINTS:
+            raise AutomatonError(
+                f"automaton box of {points} points exceeds {MAX_BOX_POINTS}")
         self.field = field
         self.f = f
         self._bounds = tuple(bounds)

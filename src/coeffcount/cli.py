@@ -405,6 +405,9 @@ def main(argv=None) -> int:
     except (ValueError, BudgetError, AutomatonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a backstop: every known input is bounded before this
+        print("error: out of memory", file=sys.stderr)
+        return 1
     finally:
         if digit_cap:
             sys.set_int_max_str_digits(digit_cap)

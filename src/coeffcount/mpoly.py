@@ -207,9 +207,15 @@ class MultiPoly:
                     out[key] = c
             if len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in multiplication")
-        if not all(out.values()):  # prune cancelled keys in place, no copy
-            for key in [key for key, c in out.items() if not c]:
-                del out[key]
+        if not all(out.values()):
+            zeros = [key for key, c in out.items() if not c]
+            if 4 * len(zeros) > 3 * len(out):
+                # dicts do not shrink on del: a product that kept fewer than
+                # a quarter of its keys is copied, not held in its old table
+                out = {key: c for key, c in out.items() if c}
+            else:
+                for key in zeros:
+                    del out[key]
         return MultiPoly._product(k, ring, out, layout, degs)
 
     def __mul__(self, other):

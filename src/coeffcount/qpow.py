@@ -9,9 +9,16 @@ d and mu by factorization machinery, counts the coefficients through the
 digit automaton of g (a product of integer matrices along the base-q
 digits of the exponent, whose columns are made only where the walk
 needs them), and solves for the periodic tables u, v over exact
-rationals.  The exponents q^m - c for consecutive m share their low
-digits and differ only by more digits q-1, so one walk of the automaton
-yields a whole run N(m_lo..m_hi).
+rationals.
+
+For every admissible m, the base-q digits of q^m - c are the l0 low
+digits of q^l0 - c (l0 the smallest with q^l0 >= c, zero-padded) followed
+by the digit q-1 repeated, so all the exponents of one (g, F_q, c) lie on
+one walk of g's automaton.  The module keeps that walk for the most
+recent (g, F_q, c, state_cap) and every count resumes it: a profile fit
+and the counts read after it share their digit products and columns.  A
+walk of one key always follows the same digits, so counts, state
+numbering and state-cap errors are those of a fresh walk.
 """
 
 from __future__ import annotations
@@ -91,24 +98,76 @@ def _alpha_val(field: Field, alpha) -> int:
     return val
 
 
+class _Walk:
+    """The one digit walk of g's automaton through every q^m - c.
+
+    prefix holds the l0 low digits of q^l0 - c; digit q-1 follows forever.
+    (m, vec) is the last point reached: the vector after m digits.
+    """
+
+    __slots__ = ("automaton", "prefix", "m", "vec")
+
+    def __init__(self, g, field: Field, c: int, state_cap: int):
+        q = field.q
+        l0 = 0
+        while q**l0 < c:
+            l0 += 1
+        low = automaton.base_digits(q**l0 - c, q)
+        self.prefix = low + [0] * (l0 - len(low))
+        self.automaton = automaton.DigitAutomaton(from_dense(g, field), state_cap)
+        self.m = 0
+        self.vec = self.automaton.start_vector()
+
+    def iterates(self, m_lo: int, m_hi: int):
+        """The vectors after m_lo .. m_hi digits, for l0 <= m_lo <= m_hi.
+
+        Resumes from the last point when m_lo is not behind it; otherwise
+        walks again from the start, over the columns already made.
+        """
+        if m_lo < self.m:
+            self.m, self.vec = 0, self.automaton.start_vector()
+        digits = itertools.chain(self.prefix[self.m:],
+                                 itertools.repeat(self.automaton.field.q - 1))
+        steps = self.automaton.walk(itertools.islice(digits, m_hi - self.m), self.vec)
+        iterates = list(itertools.islice(steps, m_lo - self.m, None))
+        self.m, self.vec = m_hi, iterates[-1]
+        return iterates
+
+
+# The walk of the most recent (g, F, c, state_cap), at most one.  A call takes
+# it out and puts it back only after a success, so a failed walk is dropped
+# and no two threads ever walk the same one.
+_last_walk: dict = {}
+
+
 def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int,
                 state_cap: int = automaton.DEFAULT_STATE_CAP):
     """Exact N_alpha(m) for m = m_lo .. m_hi (empty when m_hi < m_lo).
 
-    q^m - c = (q^m_lo - c) + (q-1)(q^m_lo + ... + q^(m-1)): one walk over the
-    digits of q^m_lo - c, zero-padded to m_lo digits, then q-1 repeated.
-    The walk may discover at most state_cap automaton states.
+    q^m - c = (q^l0 - c) + (q-1)(q^l0 + ... + q^(m-1)) for l0 the smallest
+    with q^l0 >= c: one walk over the digits of q^l0 - c, zero-padded to l0
+    digits, then q-1 repeated.  The walk of the most recent (g, field, c,
+    state_cap) is kept between calls: a call with m_lo at or past its last
+    point resumes it, an earlier m_lo walks again from the start over the
+    columns already made.  Either way the walk may discover at most
+    state_cap automaton states, counted from its start, and StateCapError
+    is raised exactly when a fresh walk to m_hi would raise it; the failed
+    walk is not kept.  alpha is read only from the vectors, so every alpha
+    shares the walk.
     """
     g = _as_dense(g, field)
-    n = _exponent(field, c, m_lo)
+    _exponent(field, c, m_lo)
     alpha_val = _alpha_val(field, alpha)
     if m_hi < m_lo:
         return []
-    low = automaton.base_digits(n, field.q)
-    digits = low + [0] * (m_lo - len(low)) + [field.q - 1] * (m_hi - m_lo)
-    counter = automaton.DigitAutomaton(from_dense(g, field), state_cap)
-    iterates = list(itertools.islice(counter.walk(digits), m_lo, None))
-    return counter.read_counts(alpha_val, iterates)
+    key = (tuple(g), field, c, state_cap)
+    walk = _last_walk.pop(key, None)
+    if walk is None:
+        walk = _Walk(g, field, c, state_cap)
+    counts = walk.automaton.read_counts(alpha_val, walk.iterates(m_lo, m_hi))
+    _last_walk.clear()
+    _last_walk[key] = walk
+    return counts
 
 
 def count_qpow(g, field: Field, c: int, alpha, m: int):
@@ -157,7 +216,8 @@ def fit_qpow_profile(g, field: Field, c: int, alpha,
     For each residue class r mod d the two smallest admissible m fix u(r)
     and v(r) by a 2x2 linear solve over exact rationals; a third value in
     the class is then verified, so an inconsistent fit cannot escape.  One
-    automaton, with at most state_cap states, counts all 3d exponents.
+    run of the (g, field, c) walk, with at most state_cap states, counts all
+    3d exponents, and counts read after the fit resume that walk.
     """
     g = _as_dense(g, field)
     d, mu = _degree_and_multiplicity(g, field)

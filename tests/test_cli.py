@@ -299,6 +299,25 @@ def test_oracle_state_cap_bounds_only_the_states_its_count_reaches(capsys):
     assert (code, out) == (1, "") and "state cap 3 exceeded" in err
 
 
+@pytest.mark.parametrize("argv, points", [
+    (["--poly", "1+x^100000000"], 100_000_001),
+    (["--k", "2", "--poly", "1+x1^3000*x2^3000"], 3001**2),
+])
+def test_automaton_refuses_a_box_past_the_cap_before_building_it(capsys, argv, points):
+    code, out, err = run_cli(capsys, "automaton", "--field", "2", *argv, "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: automaton box of {points} points exceeds 1048576\n"
+
+
+def test_memory_error_is_an_error_line_not_a_traceback(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_automaton", exhausted)
+    code, out, err = run_cli(capsys, "automaton", "--field", "2", "--poly", "1+x")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x^2+x^5")
     _, out2, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x^2+x^5")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,18 @@ def test_mul_cancellation():
     assert (a * b).num_terms == 7  # the x2 cross terms cancel mod 2
     sq = parse_poly("1+x", 1, F2)
     assert (sq * sq).terms == {(0,): 1, (2,): 1}
+
+
+def test_mostly_cancelled_product_holds_a_table_of_its_own_size():
+    # (sum of x1^i x2^j, i, j < 150) * (x1 - x2) keeps 598 of its 22 650
+    # keys; a dict does not shrink on del, so the product is copied
+    box = MultiPoly(2, ZZ, {(i, j): 1 for i in range(150) for j in range(150)})
+    p = box * MultiPoly(2, ZZ, {(1, 0): 1, (0, 1): -1})
+    edge = {(0, j): -1 for j in range(1, 151)} | {(i, 150): -1 for i in range(150)}
+    edge |= {(150, j): 1 for j in range(150)} | {(i, 0): 1 for i in range(1, 151)}
+    assert p.num_terms == len(edge) == 598
+    assert sys.getsizeof(p._packed) <= 2 * sys.getsizeof(dict(p._packed))
+    assert p.terms == edge
 
 
 def test_pow_examples():

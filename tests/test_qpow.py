@@ -1,14 +1,17 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import coeffcount
-from coeffcount import unipoly
-from coeffcount.automaton import build_automaton
+from coeffcount import qpow, unipoly
+from coeffcount.automaton import DigitAutomaton, StateCapError, build_automaton
 from coeffcount.ffield import Field
 from coeffcount.mpoly import dense_coeffs, from_dense, parse_poly
 from coeffcount.oracle import brute_power_census
@@ -111,6 +114,98 @@ def test_qpow_counts_match_digit_products(q, c, m_lo):
             assert qpow_counts(gg, field, c, alpha, m_lo, m_hi) == want, (gg, alpha)
             assert count_qpow(gg, field, c, alpha, m_lo) == want[0]
     assert qpow_counts([1, 1], field, c, 1, m_lo, m_lo - 1) == []
+
+
+def _g_strategy(q):
+    # g of degree 1 to 4 with g(0) != 0
+    return st.tuples(
+        st.integers(min_value=1, max_value=q - 1),
+        st.lists(st.integers(min_value=0, max_value=q - 1), min_size=0, max_size=3),
+        st.integers(min_value=1, max_value=q - 1),
+    ).map(lambda t: [t[0], *t[1], t[2]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_walk_answers_every_request_as_a_fresh_automaton(data):
+    # requests for one (g, F, c) resume one walk, backwards ones walk again
+    # from the start, and requests for a second g evict the first one's walk
+    q = data.draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[q]
+    gs = [data.draw(_g_strategy(q)), data.draw(_g_strategy(q))]
+    c = data.draw(st.integers(min_value=1, max_value=10))
+    l0 = next(m for m in itertools.count() if q**m >= c)
+    fresh = [DigitAutomaton(from_dense(gg, field)) for gg in gs]
+    requests = data.draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=1),             # which g
+        st.integers(min_value=l0, max_value=l0 + 6),       # m_lo
+        st.integers(min_value=-1, max_value=3),            # m_hi - m_lo
+        st.integers(min_value=1, max_value=q - 1),         # alpha
+        st.booleans(),                                     # count_qpow
+    ), min_size=1, max_size=8))
+    for which, m_lo, span, alpha, single in requests:
+        gg = gs[which]
+        if single:
+            got = [count_qpow(gg, field, c, alpha, m_lo)]
+            span = 0
+        else:
+            got = qpow_counts(gg, field, c, alpha, m_lo, m_lo + span)
+        ms = range(m_lo, m_lo + span + 1)
+        assert got == [fresh[which].count(q**m - c, alpha) for m in ms], (gg, c, ms)
+        for m, count in zip(ms, got):
+            if q**m - c <= 60:
+                assert count == brute_power_census(from_dense(gg, field), q**m - c, alpha)
+
+
+def test_shared_walk_keeps_the_cap_of_a_fresh_walk():
+    # over F_5 the walk of 1+2x+3x^3 discovers 31 states to m = 2, and all
+    # 124 of its states by m = 3
+    F5 = Field(5)
+    g5 = [1, 2, 0, 3]
+    want = [5, 11, 76, 380, 1886, 9451]
+    qpow._last_walk.clear()
+    assert qpow_counts(g5, F5, 1, 1, 1, 6, state_cap=124) == want
+    # a shorter walk under the same cap reads the columns already made
+    assert qpow_counts(g5, F5, 1, 1, 2, 3, state_cap=124) == want[1:3]
+    assert count_qpow(g5, F5, 1, 1, 6) == want[-1]
+    # a resumed walk that passes the cap raises as a fresh one would, and
+    # the walk it grew is not kept
+    assert qpow_counts(g5, F5, 1, 1, 1, 2, state_cap=123) == want[:2]
+    assert len(qpow._last_walk) == 1
+    with pytest.raises(StateCapError):
+        qpow_counts(g5, F5, 1, 1, 3, 4, state_cap=123)
+    assert qpow._last_walk == {}
+    assert qpow_counts(g5, F5, 1, 1, 2, 6, state_cap=124) == want[1:]
+
+
+def test_threads_resuming_the_kept_walk_get_fresh_walk_counts():
+    # six threads resume, rewind and evict the one kept walk at once
+    cases = [([1, 1, 2], 1), ([2, 0, 1, 1], 2)]
+    want = {(tuple(gg), c): [DigitAutomaton(from_dense(gg, F3)).count(3**m - c, 1)
+                             for m in range(1, 9)] for gg, c in cases}
+    wrong = []
+
+    def requests(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            gg, c = rng.choice(cases)
+            m_lo = rng.randrange(1, 7)
+            got = qpow_counts(gg, F3, c, 1, m_lo, m_lo + 2)
+            if got != want[tuple(gg), c][m_lo - 1:m_lo + 2]:
+                wrong.append((gg, c, m_lo, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=requests, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_power_census_rejects_negative_exponent():
