@@ -464,12 +464,9 @@ def check_c7():
 
     bad = []
     for n in range(1, 7):
-        for narrow_first in itertools.combinations_with_replacement(range(7), n):
-            # parts weakly decreasing; the product is made narrowest factor
-            # first: the partial products stay small, which halves the time
-            # of this clause
-            parts = narrow_first[::-1]
-            poly = lattice.nested_sum_product(narrow_first)
+        for ascending in itertools.combinations_with_replacement(range(7), n):
+            parts = ascending[::-1]  # weakly decreasing
+            poly = lattice.nested_sum_product(parts)
             if lattice.distinct_monomial_count(parts) != poly.num_terms:
                 bad.append(parts)
     out.append(("nested-sum monomial counts match expansion (n <= 6, parts <= 6)",

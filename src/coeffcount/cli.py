@@ -226,6 +226,8 @@ def cmd_lattice(args) -> int:
 
 def cmd_traveling(args) -> int:
     kind = args.kind
+    if args.k is None:
+        args.k = 2 if kind == "d-counts" else 3
     if kind == "genfun":
         emit(_json_gf(traveling.traveling_genfun(args.j, args.k)))
     elif kind == "seq":
@@ -239,15 +241,18 @@ def cmd_traveling(args) -> int:
     elif kind == "v-genfun":
         emit(_json_gf(traveling.window_power_genfun(args.k, args.m)))
     elif kind == "d-counts":
+        if args.k not in (0, 2):
+            raise UsageError("traveling d-counts takes --k 0 or --k 2")
         out = {"schroeder": _json_int(traveling.schroeder_sum(args.n))}
         if args.k == 0:
-            out["oracle"] = _json_int(traveling.d_count(args.n + 1, 0))
+            out["oracle"] = _json_int(
+                traveling.d_count(args.n + 1, 0, args.budget_terms))
         else:
             out["table"] = [
                 {"n": r[0], "nu": _json_int(r[1]), "half": str(r[2]),
                  "direct_index": "None" if r[3] is None else _json_int(r[3]),
                  "shifted_index": "None" if r[4] is None else _json_int(r[4])}
-                for r in traveling.duplication_report(args.n)
+                for r in traveling.duplication_report(args.n, args.budget_terms)
             ]
         emit(out)
     elif kind == "h-seq":
@@ -366,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["genfun", "seq", "theta", "v-genfun",
                                     "d-counts", "h-seq"])
     p.add_argument("--j", type=int, default=1)
-    p.add_argument("--k", type=int, default=3)
+    # None reads 2 for d-counts (which takes 0 or 2) and 3 for every other kind
+    p.add_argument("--k", type=int)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--p", type=int, default=2)

@@ -147,8 +147,12 @@ def lpath_sequences(n: int, t: int):
 
 
 def nested_sum_product(parts) -> MultiPoly:
-    """The polynomial prod_i (x_1 + ... + x_{parts_i}) over the integers."""
-    parts = list(parts)
+    """The polynomial prod_i (x_1 + ... + x_{parts_i}) over the integers.
+
+    The sums are multiplied narrowest first, whatever the order of parts,
+    so that the partial products stay small.
+    """
+    parts = sorted(parts)
     if any(lam < 0 for lam in parts):
         raise LatticeError("parts must be nonnegative")
     k = max(parts) if parts else 1

@@ -8,7 +8,8 @@ per-variable degrees, until `.terms` is first read: that read unpacks once
 and caches the tuple dict.  The cached unpack is the only mutation, so
 polynomials can be shared freely.  A chain of products therefore packs only
 the operands built from tuples, and repacks a product only when the field
-width grows.  `linear_product` expands products of linear forms.
+width grows.  `linear_product` expands products of linear forms, adjacent
+forms in pairs before the running product.
 `ExponentPacker` packs exponent vectors into int keys with one bit field
 per variable for the oracle and the automaton build.
 """
@@ -274,17 +275,21 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def linear_product(k: int, ring, forms) -> MultiPoly:
-    """The product of linear forms, multiplied left to right starting from 1.
+def linear_product(k: int, ring, forms, budget: int | None = None) -> MultiPoly:
+    """The product of linear forms, multiplied pairs first.
 
     Each form maps a 0-based variable index, or None for the constant, to
     its coefficient; zero coefficients are dropped, so an empty form is the
-    zero polynomial.  Every form is one MultiPoly.mul, so a power is passed
-    as the form repeated.
+    zero polynomial.  Forms 2j+1 and 2j+2 are multiplied together, each pair
+    only when the chain reaches it, and the pair products are multiplied
+    left to right starting from 1 (an odd last form joins as it is), so only
+    every other product meets the running product.  Every form is still one
+    MultiPoly.mul bounded by budget, so a power is passed as the form
+    repeated.
     """
     zero = (0,) * k
-    poly = MultiPoly.one(k, ring)
-    for form in forms:
+
+    def linear(form):
         terms = {}
         for i, c in form.items():
             if i is None:
@@ -295,7 +300,16 @@ def linear_product(k: int, ring, forms) -> MultiPoly:
                 raise ValueError(f"variable index {i} out of range 0..{k - 1}")
             if c:
                 terms[exp] = c
-        poly = poly.mul(MultiPoly(k, ring, terms, _clean=True))
+        return MultiPoly(k, ring, terms, _clean=True)
+
+    poly = MultiPoly.one(k, ring)
+    forms = iter(forms)
+    for form in forms:
+        second = next(forms, None)
+        factor = linear(form)
+        if second is not None:
+            factor = factor.mul(linear(second), budget)
+        poly = poly.mul(factor, budget)
     poly.terms  # unpack here, so that the whole expansion is paid inside this call
     return poly
 

@@ -1,8 +1,11 @@
 """Brute-force coefficient counting, kept independent of the fast paths.
 
 Everything here expands products by plain repeated multiplication: no
-Frobenius shortcut, no recurrences, no closed forms.  Agreement between
-these counts and the optimized modules is what the test suite leans on.
+Frobenius shortcut, no recurrences, no closed forms.  A power is one
+ladder of products by f; a product of factors multiplies adjacent factors
+in pairs and runs the pair products left to right, one product per factor
+either way.  Agreement between these counts and the optimized modules is
+what the test suite leans on.
 
 Exponent vectors are packed into single integers by mpoly.ExponentPacker
 (fixed bit width per variable, wide enough for the full product) purely to
@@ -113,7 +116,13 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
 
 
 def brute_product_census(factors, budget: int | None = None):
-    """Expand a product of polynomials left to right; return (N, census)."""
+    """Expand a product of polynomials pairs first; return (N, census).
+
+    Factors 2j+1 and 2j+2 are multiplied together, each pair only when the
+    chain reaches it, and the pair products are multiplied left to right
+    into one accumulator starting from 1; an odd last factor joins as it
+    is.  Each factor is still one product, bounded by budget.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
@@ -132,7 +141,11 @@ def brute_product_census(factors, budget: int | None = None):
             bounds[i] += d
     packer = ExponentPacker(bounds)
     acc = {0: ring.one}
-    for g in factors:
-        acc = _mul_packed(acc, packer.pack_terms(g), ring, budget)
+    for i in range(0, len(factors), 2):
+        factor = packer.pack_terms(factors[i])
+        if i + 1 < len(factors):
+            factor = _mul_packed(dict(factor), packer.pack_terms(factors[i + 1]),
+                                 ring, budget).items()
+        acc = _mul_packed(acc, factor, ring, budget)
     census = Counter(acc.values())
     return len(acc), census

@@ -64,13 +64,14 @@ def test_traced_evaluations_walk_each_digit_once():
 def test_traced_builders_count_one_product_per_factor():
     # a builder that bypassed MultiPoly.mul would read 0 products here, and
     # mpoly.mul_ms would read 0 on the benchmark's product slots; the term
-    # pairs and output terms pin that each factor is one product with the
-    # same operands
+    # pairs and output terms pin the product order: each factor is one
+    # product, adjacent factors are multiplied in pairs before the running
+    # product, and nested sums go narrowest first
     tracing = _tracing()
     for call, pairs, terms_out in (
-            (lambda: traveling.traveling_poly(1, 3, 8), 4788, 4179),
-            (lambda: traveling.window_power_poly(4, 2, 2), 1560, 1023),
-            (lambda: lattice.nested_sum_product([6, 5, 4, 3, 2, 1, 1, 1]), 836, 692)):
+            (lambda: traveling.traveling_poly(1, 3, 8), 3564, 3056),
+            (lambda: traveling.window_power_poly(4, 2, 2), 942, 678),
+            (lambda: lattice.nested_sum_product([6, 5, 4, 3, 2, 1, 1, 1]), 346, 181)):
         assert _traced(tracing, call, "mpoly.mul_calls") == 8
         assert _traced(tracing, call, "mpoly.term_pairs") == pairs
         assert _traced(tracing, call, "mpoly.terms_out") == terms_out

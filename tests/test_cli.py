@@ -118,6 +118,26 @@ def test_oracle_refuses_a_ladder_past_the_budget(capsys, monkeypatch):
                    "budget 10000000\n")
 
 
+def test_traveling_k_defaults(capsys):
+    # d-counts reads k = 2 when --k is omitted, every other kind k = 3
+    for kind in ("genfun", "seq", "v-genfun", "d-counts"):
+        k = "2" if kind == "d-counts" else "3"
+        _, out, _ = run_cli(capsys, "traveling", kind)
+        assert run_cli(capsys, "traveling", kind, "--k", k) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, budget", [
+    ("traveling d-counts --n 30 --k 2", 1000),
+    # d_poly(10, 2) has 27 466 terms
+    ("traveling d-counts --n 12 --k 2", 1000),
+    ("traveling d-counts --n 12 --k 0", 100),
+], ids=["n30", "n12", "k0"])
+def test_d_counts_expansions_keep_the_term_budget(capsys, argv, budget):
+    code, out, err = run_cli(capsys, "--budget-terms", str(budget), *argv.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: term budget {budget} exceeded in multiplication\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--field", "257", "--poly", "1+x+x^2", "--n", "4000"],
      "error: automaton supports q <= 256\n"),
@@ -339,7 +359,12 @@ def test_usage_error_exit_2():
                  ["oracle", "--field", "3", "--factors", "1+x;1+2*x", "--n", "7"],
                  ["oracle", "--field", "3", "--factors", "1+x;1+2*x", "--alpha", "2"],
                  # lucas reads --m, which the other closed forms may omit
-                 ["closed-form", "lucas", "--n", "5"]):
+                 ["closed-form", "lucas", "--n", "5"],
+                 # d-counts has a k = 0 and a k = 2 table, nothing else
+                 ["traveling", "d-counts", "--k", "3"],
+                 ["traveling", "d-counts", "--k", "1"],
+                 ["traveling", "d-counts", "--k", "5"],
+                 ["traveling", "d-counts", "--k", "-2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

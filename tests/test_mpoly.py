@@ -3,7 +3,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coeffcount.acceptance import vandermonde_poly
 from coeffcount.ffield import Field
@@ -355,6 +355,39 @@ def test_linear_product():
         linear_product(2, ZZ, [{2: 1}])
     with pytest.raises(ValueError):
         linear_product(2, ZZ, [{-1: 1}])
+    # every product is bounded, the pair products included: the square of
+    # x1 + ... + x4 has 10 terms
+    window = dict.fromkeys(range(4), 1)
+    with pytest.raises(BudgetError):
+        linear_product(4, ZZ, [window, window], budget=9)
+    assert linear_product(4, ZZ, [window, window], budget=10).num_terms == 10
+
+
+# coefficient pools with zero, so some forms lose terms or vanish
+LINEAR_POOLS = {"ZZ": (ZZ, [-2, -1, 0, 1, 2]), "F2": (F2, [0, 1]),
+                "F3": (F3, [0, 1, 2]), "F4": (F4, [0, 1, 2, 3])}
+
+
+@st.composite
+def linear_forms(draw):
+    ring, pool = LINEAR_POOLS[draw(st.sampled_from(sorted(LINEAR_POOLS)))]
+    k = draw(st.integers(1, 4))
+    form = st.dictionaries(st.sampled_from([None, *range(k)]), st.sampled_from(pool),
+                           max_size=k + 1)
+    return k, ring, draw(st.lists(form, max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_forms())
+@example((2, ZZ, [{0: 1}, {None: 1, 1: -1}, {}, {1: 2}, {None: 3}]))
+@example((3, F3, [{None: 1, 0: 1, 1: 1}] * 6))
+def test_linear_product_is_the_plain_chain(case):
+    k, ring, forms = case
+    want = MultiPoly.one(k, ring)
+    for form in forms:
+        terms = {tuple(int(i == j) for j in range(k)): c for i, c in form.items()}
+        want = want.mul(MultiPoly(k, ring, terms))
+    assert linear_product(k, ring, forms).terms == want.terms
 
 
 def test_vandermonde_matches_written_out_product():

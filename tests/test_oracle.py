@@ -13,6 +13,7 @@ from coeffcount.oracle import (
     brute_product_census,
     power_census_series,
 )
+from coeffcount.traveling import h_seq
 
 F2 = Field(2)
 F3 = Field(3)
@@ -138,13 +139,16 @@ def cancelling_factors(draw):
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
     factors = draw(st.lists(st.dictionaries(exps, st.sampled_from(pool),
                                             min_size=1, max_size=4),
-                            min_size=1, max_size=4))
+                            min_size=1, max_size=7))
     return [MultiPoly(2, ring, terms) for terms in factors]
 
 
 @settings(max_examples=150, deadline=None)
 @given(cancelling_factors())
 @example([parse_poly("x1+x2", 2, ZZ), parse_poly("x1-x2", 2, ZZ)])
+# pair products that cancel, and an unpaired last factor
+@example([parse_poly("1+x1", 2, ZZ), parse_poly("1-x1", 2, ZZ)] * 2
+         + [parse_poly("x1+x2", 2, ZZ)])
 @example([parse_poly("1+x1", 2, F2)] * 2)
 @example([parse_poly("1+x1+x2", 2, F3)] * 3)
 @example([parse_poly("1+x1", 2, F257), parse_poly("1+256*x1", 2, F257)])
@@ -153,6 +157,29 @@ def test_pruned_products_match_multipoly_mul(factors):
     n, census = brute_product_census(factors)
     assert (n, census) == (product.num_terms, product.coeff_census())
     assert 0 not in census and all(product._held().values())
+
+
+def test_product_census_multiplies_pairs_first(monkeypatch):
+    # the chain trinomials 1 + x_i + x_{i+1} over F_3: a plain left-to-right
+    # chain visits 175 185 term pairs for 12 of them, pairs first 131 766,
+    # still in one product per factor
+    pairs = []
+    mul_packed = oracle._mul_packed
+
+    def counted(acc, factor, ring, budget):
+        factor = list(factor)
+        pairs.append(len(acc) * len(factor))
+        return mul_packed(acc, factor, ring, budget)
+
+    monkeypatch.setattr(oracle, "_mul_packed", counted)
+    factors = [parse_poly(f"1+x{i}+x{i + 1}", 13, F3) for i in range(1, 13)]
+    chain = h_seq(3, 13)
+    assert brute_product_census(factors)[0] == chain[12]
+    assert (len(pairs), sum(pairs)) == (12, 131766)
+    pairs.clear()
+    # an odd count: the last factor joins the chain as it is
+    assert brute_product_census(factors[:11])[0] == chain[11]
+    assert len(pairs) == 11
 
 
 def _peak_bytes(call):
