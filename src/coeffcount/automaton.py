@@ -22,8 +22,9 @@ form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs get there within a
 few products: the cost is one product per digit outside zero runs, plus
 the few each run takes to reach its fixed point.
 
-Exponents live on packed int keys from construction on: the powers of f
-come from the packed convolution the columns run, never `MultiPoly.mul`.
+Exponents live on packed int keys in mpoly's layout (`_key_fields`) from
+construction on: the powers of f and the columns come from mpoly's kernel
+`_convolve`, never `MultiPoly.mul`.
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
 large are far beyond what pattern enumeration could handle anyway).
@@ -36,12 +37,14 @@ import math
 
 from . import modular
 from .ffield import _TABLE_LIMIT, Field
-from .mpoly import ExponentPacker, MultiPoly
+from .mpoly import DEFAULT_TERM_BUDGET, MultiPoly, _convolve, _key_fields
 
 DEFAULT_STATE_CAP = 100_000
 # box points Π(b_i + 1) an automaton may have; the box is refused before
 # anything the size of it is allocated
 MAX_BOX_POINTS = 1 << 20
+# bytes the states' patterns (states x box points) may take, checked before a new one is stored
+MAX_PATTERN_BYTES = MAX_BOX_POINTS << 8
 
 
 class AutomatonError(RuntimeError):
@@ -61,23 +64,6 @@ def base_digits(n: int, q: int):
         n, digit = divmod(n, q)
         digits.append(digit)
     return digits
-
-
-def _convolve(outer, inner, add_table, mul_table):
-    """Products of two packed (key, coeff) lists, summed by key in first-seen order.
-
-    The packer's fields must hold every key sum; sums that cancel stay as 0.
-    """
-    acc: dict[int, int] = {}
-    get = acc.get
-    for outer_key, outer_c in outer:
-        row = mul_table[outer_c]
-        for inner_key, inner_c in inner:
-            key = outer_key + inner_key
-            v = row[inner_c]
-            prev = get(key)
-            acc[key] = v if prev is None else add_table[prev][v]
-    return acc
 
 
 class DigitAutomaton:
@@ -133,6 +119,7 @@ class DigitAutomaton:
         self.f = f
         self._bounds = tuple(bounds)
         self._state_cap = state_cap
+        self._state_limit = min(state_cap, MAX_PATTERN_BYTES // points)  # one check per state
         self.states: list[bytes] = []
         self.transitions = [[] for _ in range(q)]
         self._state_index: dict[bytes, int] = {}
@@ -142,16 +129,17 @@ class DigitAutomaton:
         self._orbit_columns = None if q == 2 else [{} for _ in range(q)]
 
         # exponents of f^a * G packed into ints; f^(q-1) * G never carries
-        self._packer = ExponentPacker([(q - 1) * d + b for d, b in zip(degs, bounds)])
+        self._layout = _key_fields(
+            k, max(((q - 1) * d + b for d, b in zip(degs, bounds)), default=0))
+        bits = 8 * self._layout.size // max(k, 1)
         box = [0]
-        for b, shift in zip(bounds, self._packer.shifts):
-            box = [key + (e << shift) for key in box for e in range(b + 1)]
+        for i, b in enumerate(bounds):
+            box = [key + (e << bits * i) for key in box for e in range(b + 1)]
         self._box_packed = box
-        self._delta_index = {key: i for i, key in enumerate(box)}
-        f_packed = self._packer.pack_terms(f)
+        f_packed = f._packed_in(self._layout).items()
         self._f_pows_packed = [[(0, field.one)]]
         for _ in range(q - 1):
-            acc = _convolve(self._f_pows_packed[-1], f_packed, field._add, field._mul)
+            acc = _convolve(self._f_pows_packed[-1], f_packed, field, DEFAULT_TERM_BUDGET)
             self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
         self._gamma_count = q**k
@@ -172,8 +160,11 @@ class DigitAutomaton:
         idx = self._state_index.get(pat)
         if idx is None:
             idx = len(self.states)
-            if idx >= self._state_cap:
-                raise StateCapError(f"state cap {self._state_cap} exceeded")
+            if idx >= self._state_limit:
+                if idx >= self._state_cap:
+                    raise StateCapError(f"state cap {self._state_cap} exceeded")
+                raise AutomatonError(f"{idx + 1} states of {len(pat)} box points exceed "
+                                     f"the pattern cap of {MAX_PATTERN_BYTES} bytes")
             self._state_index[pat] = idx
             self.states.append(pat)
             for cols in self.transitions:
@@ -181,30 +172,37 @@ class DigitAutomaton:
             self._missing += len(self.transitions)
         return idx
 
+    def _point(self, delta) -> int:
+        """The index of exponent vector delta among the box points, which are
+        in `itertools.product` order: mixed radix over the box bounds."""
+        point = 0
+        for d, b in zip(delta, self._bounds):
+            if d > b:
+                raise AutomatonError("internal error: slice escaped the box")
+            point = point * (b + 1) + d
+        return point
+
     def _pattern_of(self, poly: MultiPoly) -> bytes:
         """The pattern of a polynomial whose degrees the box bounds cover."""
         arr = bytearray(len(self._box_packed))
-        for key, c in self._packer.pack_terms(poly):
-            arr[self._delta_index[key]] = c
+        for exp, c in poly.terms.items():
+            arr[self._point(exp)] = c
         return bytes(arr)
 
     def _split(self, key: int):
         """(rank of gamma, box index of delta) for a packed exponent gamma + q*delta."""
         q = self.field.q
-        exp = self._packer.unpack(key)
+        exp = self._layout.unpack(key.to_bytes(self._layout.size, "little"))
         gamma_rank = 0
         for e in exp:
             gamma_rank = gamma_rank * q + e % q
-        point = self._delta_index.get(self._packer.pack([e // q for e in exp]))
-        if point is None:
-            raise AutomatonError("internal error: slice escaped the box")
+        point = self._point([e // q for e in exp])
         self._split_cache[key] = (gamma_rank, point)
         return gamma_rank, point
 
     def _support(self, G: bytes):
         """The packed (key, coeff) terms of the polynomial with pattern G."""
-        box_packed = self._box_packed
-        return [(box_packed[j], g) for j, g in enumerate(G) if g]
+        return list(itertools.compress(zip(self._box_packed, G), G))
 
     def _expand(self, support, a: int):
         """The nonempty gamma slices of f^a * G, G given by its support.
@@ -215,7 +213,7 @@ class DigitAutomaton:
         npoints = len(self._box_packed)
         split_get = self._split_cache.get
         # f^a outer, support inner: acc's key order sets the state numbering
-        acc = _convolve(self._f_pows_packed[a], support, self.field._add, self.field._mul)
+        acc = _convolve(self._f_pows_packed[a], support, self.field, DEFAULT_TERM_BUDGET)
         slices: dict[int, bytearray] = {}
         for key, v in acc.items():
             if v:
@@ -426,7 +424,8 @@ class DigitAutomaton:
                       "modulus": list(self.field.modulus)},
             "poly": repr(self.f),
             "box_bounds": list(self._bounds),
-            "box_points": [list(self._packer.unpack(key)) for key in self._box_packed],
+            "box_points": [list(self._layout.unpack(key.to_bytes(self._layout.size, "little")))
+                           for key in self._box_packed],
             "state_count": self.state_count,
             "states": [list(pat) for pat in self.states],
             "initial": self.initial,

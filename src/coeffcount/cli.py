@@ -204,11 +204,11 @@ def cmd_lattice(args) -> int:
         parts = _int_list(args.parts, "--parts")
         emit({"count": _json_int(lattice.distinct_monomial_count(parts))})
     elif kind == "ps":
-        ts = _int_list(args.t, "--t-vec")
+        ts = _int_list(args.t_vec, "--t-vec")
         emit({"direct": _json_int(lattice.ps_points_direct(ts)),
               "formula": _json_int(lattice.ps_points_formula(ts))})
     elif kind == "paths":
-        emit({mode: _json_int(lattice.shifted_path_count(args.n, args.s, args.tt, mode))
+        emit({mode: _json_int(lattice.shifted_path_count(args.n, args.s, args.t, mode))
               for mode in ("closed", "Lsum", "Ksum")})
     elif kind == "mrsk":
         ms = _int_list(args.m_vec, "--m-vec")
@@ -361,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "mrsk", "ex433"])
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", dest="tt", type=int, default=1)
+    p.add_argument("--t", type=int, default=1)
     p.add_argument("--parts", default="")
-    p.add_argument("--t-vec", dest="t", default="")
+    p.add_argument("--t-vec", default="")
     p.add_argument("--m-vec", default="")
     p.set_defaults(func=cmd_lattice)
 

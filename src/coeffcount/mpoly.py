@@ -10,8 +10,8 @@ polynomials can be shared freely.  A chain of products therefore packs only
 the operands built from tuples, and repacks a product only when the field
 width grows.  `linear_product` expands products of linear forms, adjacent
 forms in pairs before the running product.
-`ExponentPacker` packs exponent vectors into int keys with one bit field
-per variable for the oracle and the automaton build.
+The digit automaton shares its key layout (`_key_fields`) and its kernel
+for packed terms (`_convolve`): one exponent packing, one product loop.
 """
 
 from __future__ import annotations
@@ -195,19 +195,7 @@ class MultiPoly:
         a, b = self._packed_in(layout), other._packed_in(layout)
         if len(a) < len(b):
             a, b = b, a
-        out = {}
-        radd = ring.add
-        rmul = ring.mul
-        for k2, c2 in b.items():
-            for k1, c1 in a.items():
-                key = k1 + k2
-                c = rmul(c1, c2)
-                if key in out:
-                    out[key] = radd(out[key], c)
-                else:
-                    out[key] = c
-            if len(out) > budget:
-                raise BudgetError(f"term budget {budget} exceeded in multiplication")
+        out = _convolve(b.items(), a.items(), ring, budget)
         if not all(out.values()):
             zeros = [key for key, c in out.items() if not c]
             if 4 * len(zeros) > 3 * len(out):
@@ -314,8 +302,43 @@ def linear_product(k: int, ring, forms, budget: int | None = None) -> MultiPoly:
     return poly
 
 
+def _convolve(outer, inner, ring, budget: int) -> dict:
+    """The products of two packed (key, coeff) sequences, summed by key in
+    the order the loop first reaches them, outer terms outside; sums that
+    cancel stay as 0.  The key layout must hold every key sum.  Over a field
+    with operation tables (q <= 256) they are indexed inline.  Raises
+    BudgetError when a finished outer row leaves more than budget keys."""
+    out: dict[int, int] = {}
+    if isinstance(ring, Field) and ring._mul is not None:
+        add_table, mul_table = ring._add, ring._mul
+        get = out.get
+        for k2, c2 in outer:
+            row = mul_table[c2]
+            for k1, c1 in inner:
+                key = k1 + k2
+                c = row[c1]
+                prev = get(key)
+                out[key] = c if prev is None else add_table[prev][c]
+            if len(out) > budget:
+                raise BudgetError(f"term budget {budget} exceeded in multiplication")
+        return out
+    radd = ring.add
+    rmul = ring.mul
+    for k2, c2 in outer:
+        for k1, c1 in inner:
+            key = k1 + k2
+            c = rmul(c1, c2)
+            if key in out:
+                out[key] = radd(out[key], c)
+            else:
+                out[key] = c
+        if len(out) > budget:
+            raise BudgetError(f"term budget {budget} exceeded in multiplication")
+    return out
+
+
 def _key_fields(k: int, top: int) -> struct.Struct:
-    """The int-key layout of MultiPoly.mul: one field per variable.
+    """The int-key layout of MultiPoly.mul and the automaton: one field per variable.
 
     Each field is little-endian and 1, 2, 4 or 8 bytes wide, the narrowest
     that holds top, so adding two keys adds their exponent vectors as long
@@ -326,38 +349,6 @@ def _key_fields(k: int, top: int) -> struct.Struct:
         if top >> bits == 0:
             return struct.Struct(f"<{k}{code}")
     raise BudgetError(f"exponent {top} in multiplication exceeds 2^64 - 1")
-
-
-class ExponentPacker:
-    """Packs exponent vectors into single ints, one bit field per variable.
-
-    Field i is wide enough for exponents up to bounds[i], so adding packed
-    keys adds the exponent vectors as long as every sum stays in bounds.
-    """
-
-    __slots__ = ("shifts", "masks")
-
-    def __init__(self, bounds):
-        self.shifts, self.masks = [], []
-        shift = 0
-        for b in bounds:
-            width = max(int(b).bit_length(), 1)
-            self.shifts.append(shift)
-            self.masks.append((1 << width) - 1)
-            shift += width
-
-    def pack(self, exp) -> int:
-        key = 0
-        for e, sh in zip(exp, self.shifts):
-            key |= e << sh
-        return key
-
-    def unpack(self, key: int):
-        return tuple((key >> sh) & mask for sh, mask in zip(self.shifts, self.masks))
-
-    def pack_terms(self, poly: MultiPoly):
-        """The (key, coefficient) pairs of poly, sorted by key."""
-        return sorted((self.pack(e), c) for e, c in poly.terms.items())
 
 
 def dense_coeffs(f: MultiPoly):

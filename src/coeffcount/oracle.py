@@ -7,10 +7,10 @@ in pairs and runs the pair products left to right, one product per factor
 either way.  Agreement between these counts and the optimized modules is
 what the test suite leans on.
 
-Exponent vectors are packed into single integers by mpoly.ExponentPacker
-(fixed bit width per variable, wide enough for the full product) purely to
-make dict keys cheap; the arithmetic is still the schoolbook convolution,
-written out here rather than shared with MultiPoly.mul.  Over a field with
+Exponent vectors are packed into single integers by `_pack_terms` (one bit
+field per variable, wide enough for the full product; mpoly's byte fields
+made the censuses about 30% slower) purely to make dict keys cheap; the
+arithmetic is the schoolbook convolution, not mpoly's kernel.  Over a field with
 operation tables (q <= 256) the convolution indexes them inline.  Each
 product fills one result dict and deletes its cancelled keys in place, so
 at its peak a product holds the accumulator, the factor and that one dict;
@@ -20,9 +20,19 @@ the surviving keys keep their insertion order.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 from .ffield import Field
-from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, ExponentPacker, MultiPoly
+from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, MultiPoly
+
+
+def _pack_terms(poly: MultiPoly, bounds):
+    """The (key, coefficient) pairs of poly, sorted by key, each exponent
+    vector packed into one bit field per variable, field i wide enough for
+    bounds[i]: adding keys adds the vectors while every sum stays in bounds."""
+    shifts = list(accumulate((max(b.bit_length(), 1) for b in bounds), initial=0))
+    return sorted((sum(e << sh for e, sh in zip(exp, shifts)), c)
+                  for exp, c in poly.terms.items())
 
 
 def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
@@ -75,8 +85,7 @@ def _ladder(f: MultiPoly, n: int, budget: int | None):
             f"{n} products by {f.num_terms} terms exceed the term budget {budget}")
     if f.is_zero():
         return budget, []
-    packer = ExponentPacker([d * max(n, 1) for d in f.var_degrees()])
-    return budget, packer.pack_terms(f)
+    return budget, _pack_terms(f, [d * max(n, 1) for d in f.var_degrees()])
 
 
 def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
@@ -139,12 +148,11 @@ def brute_product_census(factors, budget: int | None = None):
     for g in factors:
         for i, d in enumerate(g.var_degrees()):
             bounds[i] += d
-    packer = ExponentPacker(bounds)
     acc = {0: ring.one}
     for i in range(0, len(factors), 2):
-        factor = packer.pack_terms(factors[i])
+        factor = _pack_terms(factors[i], bounds)
         if i + 1 < len(factors):
-            factor = _mul_packed(dict(factor), packer.pack_terms(factors[i + 1]),
+            factor = _mul_packed(dict(factor), _pack_terms(factors[i + 1], bounds),
                                  ring, budget).items()
         acc = _mul_packed(acc, factor, ring, budget)
     census = Counter(acc.values())

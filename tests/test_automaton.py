@@ -385,7 +385,7 @@ POWER_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5), 7: Field(7)}
 )
 def test_packed_powers_match_sparse_products(q, k, data):
     # f^0 .. f^(q-1) made on packed keys equal the sparse products, also
-    # when a prefix widens the box and with it the packer's fields
+    # when a prefix widens the box and with it the key layout's fields
     field = POWER_FIELDS[q]
     terms = st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * k),
                      min_size=1, max_size=4, unique=True)
@@ -396,11 +396,22 @@ def test_packed_powers_match_sparse_products(q, k, data):
     prefix_exps = data.draw(st.lists(
         st.tuples(*[st.integers(min_value=0, max_value=4 * q)] * k), max_size=2))
     A = DigitAutomaton(f, prefix=MultiPoly(k, field, {e: 1 for e in prefix_exps}))
-    power = MultiPoly.one(k, field)
-    for packed in A._f_pows_packed:
-        assert packed == A._packer.pack_terms(power)
-        power = power * f
+    for a, packed in enumerate(A._f_pows_packed):
+        assert packed == sorted(f.pow(a)._packed_in(A._layout).items())
     assert len(A._f_pows_packed) == q
+
+
+@pytest.mark.parametrize("field, text", [
+    (F2, "1+x1+x2+x3+x4^128"),  # 2-byte fields, x4's at bits 48..63
+    (F3, "1+x1+2*x2+x3*x4+x4^40"),  # 1-byte fields, x4's at bits 24..31
+], ids=["F2", "F3"])
+def test_four_variable_keys_past_30_bits_match_the_oracle(field, text):
+    # keys above 2^30 take more than one CPython int digit
+    f = parse_poly(text, 4, field)
+    A = DigitAutomaton(f)
+    assert max(key for key, _ in A._f_pows_packed[-1]) >= 1 << 30
+    for n in range(10):
+        assert A.census(n) == brute_power_census(f, n), n
 
 
 def test_box_points_follow_product_order():

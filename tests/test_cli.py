@@ -2,11 +2,14 @@ import decimal
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import coeffcount
 from coeffcount import cli, oracle
 from coeffcount.cli import MAX_EXPONENT_DIGITS, main, parse_field
 
@@ -327,6 +330,24 @@ def test_automaton_refuses_a_box_past_the_cap_before_building_it(capsys, argv, p
     code, out, err = run_cli(capsys, "automaton", "--field", "2", *argv, "--n", "3")
     assert (code, out) == (1, "")
     assert err == f"error: automaton box of {points} points exceeds 1048576\n"
+
+
+def test_automaton_refuses_patterns_past_the_byte_cap():
+    # the box of 1 + x^1048575 is at the cap and its closure has 2^20 + 1
+    # patterns of 1 MiB: the 257th is refused before it is stored.  Without
+    # the cap, the child's own address-space limit ends the run with "out of
+    # memory" after about 26 s, not a run that takes the machine's memory
+    src = os.path.dirname(os.path.dirname(coeffcount.__file__))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from coeffcount.cli import main; "
+            "sys.exit(main(['automaton', '--field', '2', '--poly', '1+x^1048575', "
+            "'--n', '3']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == ("error: 257 states of 1048576 box points exceed the "
+                          "pattern cap of 268435456 bytes\n")
 
 
 def test_memory_error_is_an_error_line_not_a_traceback(capsys, monkeypatch):

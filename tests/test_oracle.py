@@ -1,4 +1,6 @@
+import ast
 import functools
+import itertools
 import sys
 import tracemalloc
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coeffcount.ffield import Field
 from coeffcount import oracle
-from coeffcount.mpoly import BudgetError, ExponentPacker, MultiPoly, ZZ, parse_poly
+from coeffcount.mpoly import BudgetError, MultiPoly, ZZ, parse_poly
 from coeffcount.oracle import (
     brute_power_census,
     brute_product_census,
@@ -151,6 +153,8 @@ def cancelling_factors(draw):
          + [parse_poly("x1+x2", 2, ZZ)])
 @example([parse_poly("1+x1", 2, F2)] * 2)
 @example([parse_poly("1+x1+x2", 2, F3)] * 3)
+@example([parse_poly("1+x1+2*x2", 2, F4), parse_poly("1+x1+3*x2", 2, F4),
+          parse_poly("2+x1^2", 2, F4)])
 @example([parse_poly("1+x1", 2, F257), parse_poly("1+256*x1", 2, F257)])
 def test_pruned_products_match_multipoly_mul(factors):
     product = functools.reduce(MultiPoly.mul, factors)
@@ -208,9 +212,8 @@ def test_one_product_holds_one_result_dict(kernel, ring):
     box = MultiPoly(2, ring, terms)
     shift = parse_poly("1+x1", 2, ring)
     if kernel == "oracle":
-        packer = ExponentPacker([side, side - 1])
-        acc = dict(packer.pack_terms(box))
-        factor = packer.pack_terms(shift)
+        acc = dict(oracle._pack_terms(box, [side, side - 1]))
+        factor = oracle._pack_terms(shift, [side, side - 1])
         peak, out = _peak_bytes(lambda: oracle._mul_packed(acc, factor, ring, 10**7))
     else:
         held = box.mul(MultiPoly.one(2, ring))  # on the product's packed keys
@@ -218,3 +221,37 @@ def test_one_product_holds_one_result_dict(kernel, ring):
         out = product._held()
     assert len(out) == side * (side + 1) - (side - 1) and all(out.values())
     assert peak < 2.5 * sys.getsizeof(out)
+
+
+def test_exponent_packer():
+    bounds = [3, 0, 8]  # widths 2, 1 and 4 bits
+
+    def pack(exp):
+        [(key, _)] = oracle._pack_terms(MultiPoly(3, ZZ, {exp: 1}), bounds)
+        return key
+
+    assert pack((3, 0, 8)) == 3 | 8 << 3
+    for a in itertools.product(range(2), range(1), range(5)):
+        # disjoint fields at shifts 0, 2 and 3: the key is the vector's bits
+        assert pack(a) == a[0] | a[1] << 2 | a[2] << 3
+        for b in itertools.product(range(2), range(1), range(4)):
+            s = tuple(x + y for x, y in zip(a, b))
+            assert pack(a) + pack(b) == pack(s)
+    f = parse_poly("x1^2*x3 + 1 + x1", 3, ZZ)
+    assert oracle._pack_terms(f, bounds) == [(0, 1), (1, 1), (2 | 1 << 3, 1)]
+
+
+def test_oracle_shares_no_packed_product_code():
+    # the oracle is the independent check of the fast paths: it packs and
+    # multiplies on its own, not through mpoly's key layout or kernel
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not {"_convolve", "_key_fields"} & names
