@@ -10,7 +10,7 @@ arithmetic, cross-checkable against a brute-force expansion oracle.
 
 from .automaton import DigitAutomaton, build_automaton
 from .ffield import Field, find_irreducible, is_primitive
-from .mpoly import MultiPoly, ZZ, parse_poly
+from .mpoly import MultiPoly, ZZ, limits, parse_poly
 from .oracle import brute_power_census, brute_product_census
 from .qpow import QPowProfile, count_qpow, fit_qpow_profile, splitting_degree
 from .ratgen import (
@@ -42,6 +42,7 @@ __all__ = [
     "fit_repunit_genfun",
     "genfun_equal_as_series",
     "is_primitive",
+    "limits",
     "parse_poly",
     "seq_to_genfun",
     "splitting_degree",

@@ -3,7 +3,9 @@
 Each criterion function returns a list of (clause, ok, detail) triples;
 a criterion passes when every clause does.  Heavy intermediates (oracle
 ladders, automata) are cached so the CLI `verify` run and the pytest run
-both stay inside the time budget.
+both stay inside the time budget; each is cached per limits in force
+(`mpoly.limits`), so a tighter budget or cap is never met from a result
+made under a looser one.
 
 Two printed reference values are refuted by the exact computations.
 They are kept verbatim, and their clauses assert exactly where and how
@@ -26,14 +28,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 
 from . import closed_forms, lattice, qpow, traveling, unipoly
 from .automaton import base_digits, build_automaton
 from .combinat import catalan, fibonacci, narayana, partitions
 from .ffield import Field
-from .mpoly import ZZ, MultiPoly, dense_coeffs, linear_product, parse_poly
+from .mpoly import ZZ, MultiPoly, current_limits, dense_coeffs, linear_product, parse_poly
 from .oracle import power_census_series
 from .ratgen import RationalGF, fit_repunit_genfun, genfun_equal_as_series
 
@@ -93,17 +95,23 @@ CORPUS_ALL = list(_corpus_texts()) + list(VANDERMONDE)
 CORPUS_LADDER = [name for name in CORPUS_ALL if name != "v4"]
 
 
-@lru_cache(maxsize=None)
+def _per_limits(fn):
+    """fn cached by its arguments and the limits in force."""
+    cached = lru_cache(maxsize=None)(lambda _, *args, **kw: fn(*args, **kw))
+    return wraps(fn)(lambda *args, **kw: cached(current_limits(), *args, **kw))
+
+
+@_per_limits
 def corpus_automaton(name: str):
     return build_automaton(corpus_poly(name))
 
 
-@lru_cache(maxsize=None)
+@_per_limits
 def corpus_ladder(name: str, n_max: int = 64):
     return power_census_series(corpus_poly(name), n_max)
 
 
-@lru_cache(maxsize=None)
+@_per_limits
 def corpus_fit(name: str):
     return fit_repunit_genfun(corpus_automaton(name), 1)
 
@@ -237,7 +245,7 @@ def _frac_list(numers, den):
     return tuple(Fraction(x, den) for x in numers)
 
 
-@lru_cache(maxsize=None)
+@_per_limits
 def _qpow_profile(gtext: str, fkey: str, c: int, alpha: int, cube: bool = False):
     field = FIELDS[fkey]
     g = dense_coeffs(parse_poly(gtext, 1, field))

@@ -24,7 +24,9 @@ the few each run takes to reach its fixed point.
 
 Exponents live on packed int keys in mpoly's layout (`_key_fields`) from
 construction on: the powers of f and the columns come from mpoly's kernel
-`_convolve`, never `MultiPoly.mul`.
+`_convolve`, never `MultiPoly.mul`.  An automaton reads the limits in force
+(`mpoly.limits`) once, when it is constructed: its expansions keep that
+term budget and its states that state cap.
 A pattern is stored as a bytes object over the box points (so q <= 256
 here, the size up to which Field keeps full operation tables; fields that
 large are far beyond what pattern enumeration could handle anyway).
@@ -37,9 +39,8 @@ import math
 
 from . import modular
 from .ffield import _TABLE_LIMIT, Field
-from .mpoly import DEFAULT_TERM_BUDGET, MultiPoly, _convolve, _key_fields
+from .mpoly import MultiPoly, _convolve, _key_fields, current_limits
 
-DEFAULT_STATE_CAP = 100_000
 # box points Π(b_i + 1) an automaton may have; the box is refused before
 # anything the size of it is allocated
 MAX_BOX_POINTS = 1 << 20
@@ -94,7 +95,7 @@ class DigitAutomaton:
         initial: index of the pattern of the constant polynomial 1.
     """
 
-    def __init__(self, f: MultiPoly, state_cap: int = DEFAULT_STATE_CAP, prefix=None):
+    def __init__(self, f: MultiPoly, prefix=None):
         field = f.ring
         if not isinstance(field, Field):
             raise AutomatonError("automaton needs a finite-field polynomial")
@@ -118,8 +119,9 @@ class DigitAutomaton:
         self.field = field
         self.f = f
         self._bounds = tuple(bounds)
-        self._state_cap = state_cap
-        self._state_limit = min(state_cap, MAX_PATTERN_BYTES // points)  # one check per state
+        self._budget, self._state_cap = current_limits()
+        # the state cap and the pattern cap in one check per state
+        self._state_limit = min(self._state_cap, MAX_PATTERN_BYTES // points)
         self.states: list[bytes] = []
         self.transitions = [[] for _ in range(q)]
         self._state_index: dict[bytes, int] = {}
@@ -139,7 +141,7 @@ class DigitAutomaton:
         f_packed = f._packed_in(self._layout).items()
         self._f_pows_packed = [[(0, field.one)]]
         for _ in range(q - 1):
-            acc = _convolve(self._f_pows_packed[-1], f_packed, field, DEFAULT_TERM_BUDGET)
+            acc = _convolve(self._f_pows_packed[-1], f_packed, field, self._budget)
             self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
         self._gamma_count = q**k
@@ -213,7 +215,7 @@ class DigitAutomaton:
         npoints = len(self._box_packed)
         split_get = self._split_cache.get
         # f^a outer, support inner: acc's key order sets the state numbering
-        acc = _convolve(self._f_pows_packed[a], support, self.field, DEFAULT_TERM_BUDGET)
+        acc = _convolve(self._f_pows_packed[a], support, self.field, self._budget)
         slices: dict[int, bytearray] = {}
         for key, v in acc.items():
             if v:
@@ -436,14 +438,10 @@ class DigitAutomaton:
         }
 
 
-def build_automaton(
-    f: MultiPoly,
-    state_cap: int = DEFAULT_STATE_CAP,
-    prefix: MultiPoly | None = None,
-) -> DigitAutomaton:
+def build_automaton(f: MultiPoly, prefix: MultiPoly | None = None) -> DigitAutomaton:
     """The closed automaton of f: every pattern reachable from 1 and the prefix.
 
     States are numbered in breadth-first order from 1 and the prefix, each
     state's digits in order 0..q-1.
     """
-    return DigitAutomaton(f, state_cap, prefix).close()
+    return DigitAutomaton(f, prefix).close()

@@ -12,18 +12,15 @@ import json
 import sys
 
 from . import closed_forms, lattice, qpow, traveling
-from .automaton import (
-    DEFAULT_STATE_CAP,
-    AutomatonError,
-    DigitAutomaton,
-    build_automaton,
-)
+from .automaton import AutomatonError, DigitAutomaton, build_automaton
 from .ffield import Field
 from .mpoly import (
+    DEFAULT_STATE_CAP,
     DEFAULT_TERM_BUDGET,
     BudgetError,
     ZZ,
     dense_coeffs,
+    limits,
     parse_poly,
 )
 from .oracle import brute_power_census, brute_product_census
@@ -108,7 +105,7 @@ def cmd_automaton(args) -> int:
     f = parse_poly(args.poly, args.k, field)
     n = None if args.n is None else _parse_exponent(args.n, field.q)
     prefix = parse_poly(args.prefix, args.k, field) if args.prefix else None
-    A = build_automaton(f, state_cap=args.state_cap, prefix=prefix)
+    A = build_automaton(f, prefix=prefix)
     out = {"states": A.state_count}
     if n is not None:
         out["n"] = _json_int(n)
@@ -128,7 +125,7 @@ def cmd_genfun(args) -> int:
     else:
         field = parse_field(args.field)
         f = parse_poly(args.from_automaton, args.k, field)
-        A = build_automaton(f, state_cap=args.state_cap)
+        A = build_automaton(f)
         seq, rec, gf = fit_repunit_genfun(A, args.alpha)
     emit({
         **_json_gf(gf),
@@ -150,7 +147,7 @@ def cmd_qpow(args) -> int:
         raise ValueError(f"--c is not an integer: {args.c!r}") from None
     field = parse_field(args.field)
     g = dense_coeffs(parse_poly(args.g, 1, field))
-    prof = qpow.fit_qpow_profile(g, field, c, args.alpha, args.state_cap)
+    prof = qpow.fit_qpow_profile(g, field, c, args.alpha)
     out = {
         "d": prof.d,
         "mu": prof.mu,
@@ -159,8 +156,7 @@ def cmd_qpow(args) -> int:
         "v": [str(x) for x in prof.v],
     }
     if args.verify_upto is not None:
-        counts = qpow.qpow_counts(g, field, c, args.alpha, prof.l,
-                                  args.verify_upto, args.state_cap)
+        counts = qpow.qpow_counts(g, field, c, args.alpha, prof.l, args.verify_upto)
         out["verified"] = {
             str(m): {"count": _json_int(actual), "matches": prof.predict(m) == actual}
             for m, actual in enumerate(counts, prof.l)
@@ -245,14 +241,13 @@ def cmd_traveling(args) -> int:
             raise UsageError("traveling d-counts takes --k 0 or --k 2")
         out = {"schroeder": _json_int(traveling.schroeder_sum(args.n))}
         if args.k == 0:
-            out["oracle"] = _json_int(
-                traveling.d_count(args.n + 1, 0, args.budget_terms))
+            out["oracle"] = _json_int(traveling.d_count(args.n + 1, 0))
         else:
             out["table"] = [
                 {"n": r[0], "nu": _json_int(r[1]), "half": str(r[2]),
                  "direct_index": "None" if r[3] is None else _json_int(r[3]),
                  "shifted_index": "None" if r[4] is None else _json_int(r[4])}
-                for r in traveling.duplication_report(args.n, args.budget_terms)
+                for r in traveling.duplication_report(args.n)
             ]
         emit(out)
     elif kind == "h-seq":
@@ -266,7 +261,7 @@ def cmd_oracle(args) -> int:
         if args.n is not None or args.alpha is not None:
             raise UsageError("oracle --factors takes neither --n nor --alpha")
         factors = [parse_poly(t, args.k, ring) for t in args.factors.split(";")]
-        N, census = brute_product_census(factors, budget=args.budget_terms)
+        N, census = brute_product_census(factors)
         emit({"distinct": _json_int(N),
               "census": {str(k): _json_int(v) for k, v in sorted(census.items())}})
         return 0
@@ -276,13 +271,13 @@ def cmd_oracle(args) -> int:
     alpha = 1 if args.alpha is None else args.alpha
     f = parse_poly(args.poly, args.k, ring)
     if not over_field:
-        brute = brute_power_census(f, n, alpha, budget=args.budget_terms)
+        brute = brute_power_census(f, n, alpha)
         emit({"oracle": _json_int(brute)})
         return 0
     # the automaton refuses a field or an alpha it cannot count with at
     # once, so it counts first, before the slow expansion
-    fast = DigitAutomaton(f, args.state_cap).count(n, alpha)
-    brute = brute_power_census(f, n, alpha, budget=args.budget_terms)
+    fast = DigitAutomaton(f).count(n, alpha)
+    brute = brute_power_census(f, n, alpha)
     verdict = "PASS" if fast == brute else "FAIL"
     print(f"oracle={brute} automaton={fast} {verdict}", file=sys.stderr)
     emit({"oracle": _json_int(brute), "automaton": _json_int(fast),
@@ -405,7 +400,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with limits(args.budget_terms, args.state_cap):
+            return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, BudgetError, AutomatonError) as exc:

@@ -33,6 +33,11 @@ DEFAULT_ENUM_CAP = 15
 # and every L_{n,t} of at most 10^7 sequences (the scale of Catalan(15))
 # needs at most 1.34e7.
 BALLOT_WORK_CAP = 2 * 10**7
+# Most nodes (prefixes and last-level points) one `_prefixes` walk may visit,
+# each level's nodes counted before they are made.  K_13 takes 1 033 410
+# visits and the polytope of t = (1, ..., 7) 862 212; C7 needs at most
+# 290 510 (K_12).
+MAX_WALK_VISITS = 1 << 20
 
 
 class LatticeError(ValueError):
@@ -46,21 +51,27 @@ def _prefixes(caps, low: int = 0):
     """(y, caps[-1] - sum(y)) for every y in Z^(len(caps) - 1) with entries
     >= low and y_1 + ... + y_j <= caps[j-1], in lexicographic order: the one
     polytope walk here, depth first with an explicit stack, smallest child
-    on top, the last level yielded in place.  caps must not be empty."""
+    on top, the last level yielded in place.  caps must not be empty.
+    Raises LatticeError once the walk would pass MAX_WALK_VISITS nodes."""
     last, top = len(caps) - 1, caps[-1]
     if not last:
         yield (), top
         return
     stack = [((), 0)]
+    visits = 0
     while stack:
         prefix, psum = stack.pop()
         j = len(prefix)
+        values = range(low, caps[j] - psum + 1)
+        visits += len(values)
+        if visits > MAX_WALK_VISITS:
+            raise LatticeError(f"a polytope walk over {last} coordinates exceeds "
+                               f"{MAX_WALK_VISITS} visits")
         if j == last - 1:
-            for v in range(low, caps[j] - psum + 1):
+            for v in values:
                 yield prefix + (v,), top - psum - v
         else:
-            stack.extend([(prefix + (v,), psum + v)
-                          for v in range(caps[j] - psum, low - 1, -1)])
+            stack.extend([(prefix + (v,), psum + v) for v in reversed(values)])
 
 
 def _bounded_sequences(caps, total: int):

@@ -12,6 +12,9 @@ width grows.  `linear_product` expands products of linear forms, adjacent
 forms in pairs before the running product.
 The digit automaton shares its key layout (`_key_fields`) and its kernel
 for packed terms (`_convolve`): one exponent packing, one product loop.
+Every product and digit automaton runs under the limits in force in its
+context (`limits`): the term budget, the most keys one product may hold,
+and the state cap, the most states one automaton may discover.
 """
 
 from __future__ import annotations
@@ -19,10 +22,29 @@ from __future__ import annotations
 import operator
 import struct
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .ffield import Field, FieldError
 
 DEFAULT_TERM_BUDGET = 10**7
+DEFAULT_STATE_CAP = 100_000
+
+# the (term budget, state cap) pair in force
+_limits = ContextVar("limits", default=(DEFAULT_TERM_BUDGET, DEFAULT_STATE_CAP))
+current_limits = _limits.get
+
+
+@contextmanager
+def limits(terms: int = DEFAULT_TERM_BUDGET, states: int = DEFAULT_STATE_CAP):
+    """Run a block under a term budget and a state cap, and restore the
+    limits in force before it when it exits, however it exits.  The values
+    live in a context variable, so a new thread starts from the defaults."""
+    token = _limits.set((terms, states))
+    try:
+        yield
+    finally:
+        _limits.reset(token)
 
 
 class BudgetError(RuntimeError):
@@ -181,10 +203,8 @@ class MultiPoly:
                 out[exp] = c
         return MultiPoly(self.k, ring, out, _clean=True)
 
-    def mul(self, other, budget: int | None = None):
+    def mul(self, other):
         self._check_compatible(other)
-        if budget is None:
-            budget = DEFAULT_TERM_BUDGET
         k, ring = self.k, self.ring
         if self.is_zero() or other.is_zero():
             return MultiPoly.zero(k, ring)
@@ -195,7 +215,7 @@ class MultiPoly:
         a, b = self._packed_in(layout), other._packed_in(layout)
         if len(a) < len(b):
             a, b = b, a
-        out = _convolve(b.items(), a.items(), ring, budget)
+        out = _convolve(b.items(), a.items(), ring, current_limits()[0])
         if not all(out.values()):
             zeros = [key for key, c in out.items() if not c]
             if 4 * len(zeros) > 3 * len(out):
@@ -210,19 +230,19 @@ class MultiPoly:
     def __mul__(self, other):
         return self.mul(other)
 
-    def pow(self, n: int, budget: int | None = None):
+    def pow(self, n: int):
         """f^n by square-and-multiply over every ring, each product one `mul`
-        bounded by budget; `automaton` counts powers over F_q by digits."""
+        under the term budget; `automaton` counts powers over F_q by digits."""
         if n < 0:
             raise ValueError("negative exponent")
         result = MultiPoly.one(self.k, self.ring)
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, budget)
+                result = result.mul(base)
             n >>= 1
             if n:
-                base = base.mul(base, budget)
+                base = base.mul(base)
         return result
 
     def __eq__(self, other):
@@ -263,7 +283,7 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def linear_product(k: int, ring, forms, budget: int | None = None) -> MultiPoly:
+def linear_product(k: int, ring, forms) -> MultiPoly:
     """The product of linear forms, multiplied pairs first.
 
     Each form maps a 0-based variable index, or None for the constant, to
@@ -272,7 +292,7 @@ def linear_product(k: int, ring, forms, budget: int | None = None) -> MultiPoly:
     only when the chain reaches it, and the pair products are multiplied
     left to right starting from 1 (an odd last form joins as it is), so only
     every other product meets the running product.  Every form is still one
-    MultiPoly.mul bounded by budget, so a power is passed as the form
+    MultiPoly.mul under the term budget, so a power is passed as the form
     repeated.
     """
     zero = (0,) * k
@@ -296,8 +316,8 @@ def linear_product(k: int, ring, forms, budget: int | None = None) -> MultiPoly:
         second = next(forms, None)
         factor = linear(form)
         if second is not None:
-            factor = factor.mul(linear(second), budget)
-        poly = poly.mul(factor, budget)
+            factor = factor.mul(linear(second))
+        poly = poly.mul(factor)
     poly.terms  # unpack here, so that the whole expansion is paid inside this call
     return poly
 
@@ -382,6 +402,8 @@ def from_dense(coeffs, ring) -> MultiPoly:
 
 
 def parse_poly(text: str, k: int, ring) -> MultiPoly:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     s = text
     n = len(s)
     pos = 0

@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .ffield import Field
-from .mpoly import DEFAULT_TERM_BUDGET, BudgetError, MultiPoly
+from .mpoly import BudgetError, MultiPoly, current_limits
 
 
 def _pack_terms(poly: MultiPoly, bounds):
@@ -72,12 +72,11 @@ def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
     return out
 
 
-def _ladder(f: MultiPoly, n: int, budget: int | None):
-    """The budget and packed factor of a ladder of n products by f, refused
-    before the first product when n * max(|f|, 1) > budget: each product
-    visits at least |f| term pairs."""
-    if budget is None:
-        budget = DEFAULT_TERM_BUDGET
+def _ladder(f: MultiPoly, n: int):
+    """The term budget and packed factor of a ladder of n products by f,
+    refused before the first product when n * max(|f|, 1) exceeds the
+    budget: each product visits at least |f| term pairs."""
+    budget = current_limits()[0]
     if n < 0:
         raise ValueError("negative exponent")
     if n * max(f.num_terms, 1) > budget:
@@ -88,9 +87,9 @@ def _ladder(f: MultiPoly, n: int, budget: int | None):
     return budget, _pack_terms(f, [d * max(n, 1) for d in f.var_degrees()])
 
 
-def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
+def power_census_series(f: MultiPoly, n_max: int):
     """Censuses of f^0, f^1, ..., f^n_max by one repeated-multiplication ladder."""
-    budget, factor = _ladder(f, n_max, budget)
+    budget, factor = _ladder(f, n_max)
     acc = {0: f.ring.one}
     out = [Counter(acc.values())]
     for _ in range(n_max):
@@ -99,7 +98,7 @@ def power_census_series(f: MultiPoly, n_max: int, budget: int | None = None):
     return out
 
 
-def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = None):
+def brute_power_census(f: MultiPoly, n: int, alpha=None):
     """Number of coefficients of f^n equal to alpha (or the full census).
 
     Expands f^n by n products into one accumulator.  Over a field, alpha
@@ -116,7 +115,7 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
                 "alpha must be nonzero; zero-coefficient counts follow from "
                 "N + N_0 = number of coefficient slots"
             )
-    budget, factor = _ladder(f, n, budget)
+    budget, factor = _ladder(f, n)
     acc = {0: f.ring.one}
     for _ in range(n):
         acc = _mul_packed(acc, factor, f.ring, budget)
@@ -124,13 +123,13 @@ def brute_power_census(f: MultiPoly, n: int, alpha=None, budget: int | None = No
     return census if alpha is None else census.get(alpha, 0)
 
 
-def brute_product_census(factors, budget: int | None = None):
+def brute_product_census(factors):
     """Expand a product of polynomials pairs first; return (N, census).
 
     Factors 2j+1 and 2j+2 are multiplied together, each pair only when the
     chain reaches it, and the pair products are multiplied left to right
     into one accumulator starting from 1; an odd last factor joins as it
-    is.  Each factor is still one product, bounded by budget.
+    is.  Each factor is still one product, under the term budget.
     """
     factors = list(factors)
     if not factors:
@@ -140,14 +139,13 @@ def brute_product_census(factors, budget: int | None = None):
     for g in factors:
         if g.k != k or g.ring != ring:
             raise ValueError("factors must share variable count and ring")
-    if budget is None:
-        budget = DEFAULT_TERM_BUDGET
     if any(g.is_zero() for g in factors):
         return 0, {}
     bounds = [0] * k
     for g in factors:
         for i, d in enumerate(g.var_degrees()):
             bounds[i] += d
+    budget = current_limits()[0]
     acc = {0: ring.one}
     for i in range(0, len(factors), 2):
         factor = _pack_terms(factors[i], bounds)

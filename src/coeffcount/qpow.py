@@ -15,7 +15,7 @@ For every admissible m, the base-q digits of q^m - c are the l0 low
 digits of q^l0 - c (l0 the smallest with q^l0 >= c, zero-padded) followed
 by the digit q-1 repeated, so all the exponents of one (g, F_q, c) lie on
 one walk of g's automaton.  The module keeps that walk for the most
-recent (g, F_q, c, state_cap) and every count resumes it: a profile fit
+recent (g, F_q, c, limits) and every count resumes it: a profile fit
 and the counts read after it share their digit products and columns.  A
 walk of one key always follows the same digits, so counts, state
 numbering and state-cap errors are those of a fresh walk.
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import automaton, unipoly
 from .ffield import Field, is_primitive
-from .mpoly import MultiPoly, dense_coeffs, from_dense
+from .mpoly import MultiPoly, current_limits, dense_coeffs, from_dense
 from .ratgen import _Record, _set
 
 
@@ -107,14 +107,14 @@ class _Walk:
 
     __slots__ = ("automaton", "prefix", "m", "vec")
 
-    def __init__(self, g, field: Field, c: int, state_cap: int):
+    def __init__(self, g, field: Field, c: int):
         q = field.q
         l0 = 0
         while q**l0 < c:
             l0 += 1
         low = automaton.base_digits(q**l0 - c, q)
         self.prefix = low + [0] * (l0 - len(low))
-        self.automaton = automaton.DigitAutomaton(from_dense(g, field), state_cap)
+        self.automaton = automaton.DigitAutomaton(from_dense(g, field))
         self.m = 0
         self.vec = self.automaton.start_vector()
 
@@ -134,23 +134,22 @@ class _Walk:
         return iterates
 
 
-# The walk of the most recent (g, F, c, state_cap), at most one.  A call takes
+# The walk of the most recent (g, F, c, limits), at most one.  A call takes
 # it out and puts it back only after a success, so a failed walk is dropped
 # and no two threads ever walk the same one.
 _last_walk: dict = {}
 
 
-def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int,
-                state_cap: int = automaton.DEFAULT_STATE_CAP):
+def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
     """Exact N_alpha(m) for m = m_lo .. m_hi (empty when m_hi < m_lo).
 
     q^m - c = (q^l0 - c) + (q-1)(q^l0 + ... + q^(m-1)) for l0 the smallest
     with q^l0 >= c: one walk over the digits of q^l0 - c, zero-padded to l0
     digits, then q-1 repeated.  The walk of the most recent (g, field, c,
-    state_cap) is kept between calls: a call with m_lo at or past its last
+    limits) is kept between calls: a call with m_lo at or past its last
     point resumes it, an earlier m_lo walks again from the start over the
-    columns already made.  Either way the walk may discover at most
-    state_cap automaton states, counted from its start, and StateCapError
+    columns already made.  Either way the walk may discover at most the
+    state cap of automaton states, counted from its start, and StateCapError
     is raised exactly when a fresh walk to m_hi would raise it; the failed
     walk is not kept.  alpha is read only from the vectors, so every alpha
     shares the walk.
@@ -160,10 +159,10 @@ def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int,
     alpha_val = _alpha_val(field, alpha)
     if m_hi < m_lo:
         return []
-    key = (tuple(g), field, c, state_cap)
+    key = (tuple(g), field, c, current_limits())
     walk = _last_walk.pop(key, None)
     if walk is None:
-        walk = _Walk(g, field, c, state_cap)
+        walk = _Walk(g, field, c)
     counts = walk.automaton.read_counts(alpha_val, walk.iterates(m_lo, m_hi))
     _last_walk.clear()
     _last_walk[key] = walk
@@ -209,14 +208,13 @@ class QPowProfile(_Record):
         return int(val)
 
 
-def fit_qpow_profile(g, field: Field, c: int, alpha,
-                     state_cap: int = automaton.DEFAULT_STATE_CAP) -> QPowProfile:
+def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
     """Measure d, mu, l and solve for the periodic tables u, v.
 
     For each residue class r mod d the two smallest admissible m fix u(r)
     and v(r) by a 2x2 linear solve over exact rationals; a third value in
     the class is then verified, so an inconsistent fit cannot escape.  One
-    run of the (g, field, c) walk, with at most state_cap states, counts all
+    run of the (g, field, c) walk, within the state cap, counts all
     3d exponents, and counts read after the fit resume that walk.
     """
     g = _as_dense(g, field)
@@ -227,7 +225,7 @@ def fit_qpow_profile(g, field: Field, c: int, alpha,
         l += 1
     q = field.q
     # the classes' first three admissible m are exactly l .. l + 3d - 1
-    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1, state_cap)
+    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1)
     u = [Fraction(0)] * d
     v = [Fraction(0)] * d
     for residue in range(d):

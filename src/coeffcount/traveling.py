@@ -260,11 +260,11 @@ def j_poly(n: int, k: int, m: int) -> MultiPoly:
 # -- mixed-variable products and the Schroeder / doubling recurrences ----------------
 
 
-def d_poly(n: int, k: int, budget: int | None = None) -> MultiPoly:
+def d_poly(n: int, k: int) -> MultiPoly:
     """prod_{i=1}^n (y_1 + ... + y_{i-1} + x_i + ... + x_{i+k}).
 
     Variables are numbered x_1..x_{n+k} then y_1..y_{n-1}.  Each product
-    is bounded by budget terms (mpoly.DEFAULT_TERM_BUDGET when None).
+    is bounded by the term budget.
     """
     if n < 0 or k < -1:
         raise TravelingError("bad parameters")
@@ -272,7 +272,7 @@ def d_poly(n: int, k: int, budget: int | None = None) -> MultiPoly:
     # factor i: y_1..y_{i-1} (indices nx..), then x_i..x_{i+k}
     return linear_product(max(nx + max(n - 1, 0), 1), ZZ, (
         dict.fromkeys([*range(nx, nx + i - 1), *range(i - 1, i + k)], 1)
-        for i in range(1, n + 1)), budget)
+        for i in range(1, n + 1)))
 
 
 def schroeder_sum(n: int) -> int:
@@ -282,9 +282,9 @@ def schroeder_sum(n: int) -> int:
     return sum(2**j * narayana(n, j) for j in range(n + 1))
 
 
-def d_count(n: int, k: int, budget: int | None = None) -> int:
+def d_count(n: int, k: int) -> int:
     """Distinct monomials of d_poly(n, k) by direct expansion."""
-    return d_poly(n, k, budget).num_terms
+    return d_poly(n, k).num_terms
 
 
 def nu_sequence(n_max: int):
@@ -306,17 +306,17 @@ def nu_sequence(n_max: int):
     return nu
 
 
-def duplication_report(n_max: int, budget: int | None = None):
+def duplication_report(n_max: int):
     """Comparison rows for the k = 2 mixed products against nu_n / 2.
 
     Returns rows (n, nu_n, nu_n / 2, N(D_{n-2,2}), N(D_{n-3,2})).  The
     direct-index pairing (nu_n/2 with N(D_{n-2,2})) never matches; the
     shifted pairing N(D_{n-3,2}) matches for n <= 9 and then diverges
     (at n = 10: 27477 vs 27466), so the table is emitted for inspection
-    rather than asserted.  Every expansion is bounded by budget terms.
+    rather than asserted.  Every expansion is bounded by the term budget.
     """
     nu = nu_sequence(n_max)
-    d_cache = {m: d_count(m, 2, budget) for m in range(0, n_max - 1)}
+    d_cache = {m: d_count(m, 2) for m in range(0, n_max - 1)}
     rows = []
     for n in range(3, n_max + 1):
         rows.append((

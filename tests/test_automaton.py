@@ -13,7 +13,7 @@ from coeffcount.automaton import (
 )
 from coeffcount.acceptance import vandermonde_poly
 from coeffcount.ffield import Field, FieldError
-from coeffcount.mpoly import MultiPoly, parse_poly
+from coeffcount.mpoly import MultiPoly, limits, parse_poly
 from coeffcount.oracle import brute_power_census, power_census_series
 
 F2 = Field(2)
@@ -149,7 +149,8 @@ def test_census_matches_oracle(q, k, data):
     # some draws over F_5..F_9 pass 100000 states and take minutes to
     # build; test_state_cap covers the refusal itself
     try:
-        A = build_automaton(f, state_cap=CENSUS_STATE_CAP)
+        with limits(states=CENSUS_STATE_CAP):
+            A = build_automaton(f)
     except StateCapError:
         assume(False)
     census = A.census(n)
@@ -175,7 +176,8 @@ def test_census_and_zeros_fill_the_slots(q, k, data):
     f = MultiPoly(k, field, dict(zip(exps, coeffs)))
     n = data.draw(st.integers(min_value=0, max_value=12))
     try:
-        A = build_automaton(f, state_cap=CENSUS_STATE_CAP)
+        with limits(states=CENSUS_STATE_CAP):
+            A = build_automaton(f)
     except StateCapError:
         assume(False)
     g = f.pow(n)
@@ -214,7 +216,8 @@ def test_unclosed_automaton_matches_closed(q, k, data):
                                 min_size=len(exps), max_size=len(exps)))
     f = MultiPoly(k, field, dict(zip(exps, coeffs)))
     try:
-        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP)
+        with limits(states=UNCLOSED_STATE_CAP):
+            closed = build_automaton(f)
     except StateCapError:
         assume(False)
     digits = st.lists(st.integers(min_value=0, max_value=q - 1), max_size=5)
@@ -276,7 +279,8 @@ def test_run_jumps_match_the_plain_walk(q, k, data):
         prefix_exps = data.draw(polys)
         prefix = MultiPoly(k, field, {e: 1 for e in prefix_exps})
     try:
-        closed = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, prefix=prefix)
+        with limits(states=UNCLOSED_STATE_CAP):
+            closed = build_automaton(f, prefix=prefix)
     except StateCapError:
         assume(False)
     n = _zero_run_exponent(data, q)
@@ -313,8 +317,8 @@ def test_frobenius_shift_keeps_counts():
 
 def test_state_cap():
     f = vandermonde_poly(4, F2)
-    with pytest.raises(StateCapError):
-        build_automaton(f, state_cap=10)
+    with pytest.raises(StateCapError), limits(states=10):
+        build_automaton(f)
 
 
 def test_column_sums_and_leading_zeros():
@@ -481,7 +485,8 @@ def test_scaled_columns_equal_their_expansion(q, k, prefixed, data):
             min_size=len(prefix_exps), max_size=len(prefix_exps)))
         prefix = MultiPoly(k, field, dict(zip(prefix_exps, prefix_coeffs)))
     try:
-        A = build_automaton(f, state_cap=UNCLOSED_STATE_CAP, prefix=prefix)
+        with limits(states=UNCLOSED_STATE_CAP):
+            A = build_automaton(f, prefix=prefix)
     except StateCapError:
         assume(False)
     for a in range(q):
@@ -518,13 +523,15 @@ def test_discovery_order_and_state_cap_unchanged():
 
     F5 = Field(5)
     f = parse_poly("1+2*x+3*x^3", 1, F5)
-    A = build_automaton(f, state_cap=125)
+    with limits(states=125):
+        A = build_automaton(f)
     digest = hashlib.sha256(repr((A.states, A.transitions)).encode()).hexdigest()
     assert digest[:16] == "d339ba9e375d8d89"
-    with pytest.raises(StateCapError):
-        build_automaton(f, state_cap=124)
+    with pytest.raises(StateCapError), limits(states=124):
+        build_automaton(f)
     # the lazy q-power walk discovers 124 of the 125 states
     g = [1, 2, 0, 3]
-    assert qpow.qpow_counts(g, F5, 1, 1, 2, 6, state_cap=124) == [11, 76, 380, 1886, 9451]
-    with pytest.raises(StateCapError):
-        qpow.qpow_counts(g, F5, 1, 1, 2, 6, state_cap=123)
+    with limits(states=124):
+        assert qpow.qpow_counts(g, F5, 1, 1, 2, 6) == [11, 76, 380, 1886, 9451]
+    with pytest.raises(StateCapError), limits(states=123):
+        qpow.qpow_counts(g, F5, 1, 1, 2, 6)

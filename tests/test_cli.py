@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coeffcount
-from coeffcount import cli, oracle
+from coeffcount import cli, lattice, oracle
 from coeffcount.cli import MAX_EXPONENT_DIGITS, main, parse_field
 
 
@@ -139,6 +139,39 @@ def test_d_counts_expansions_keep_the_term_budget(capsys, argv, budget):
     code, out, err = run_cli(capsys, "--budget-terms", str(budget), *argv.split())
     assert (code, out) == (1, "")
     assert err == f"error: term budget {budget} exceeded in multiplication\n"
+
+
+@pytest.mark.parametrize("argv, budget", [
+    # the expansions of 1 + x1 + ... + x4 hold at most 5 keys
+    ("automaton --field 2 --k 4 --poly 1+x1+x2+x3+x4 --n 5", 3),
+    ("lattice ex433 --n 3 --s 2", 10),
+    ("verify --suite minimal", 5),
+], ids=["automaton", "ex433", "verify"])
+def test_every_path_keeps_the_term_budget(capsys, argv, budget):
+    code, out, err = run_cli(capsys, "--budget-terms", str(budget), *argv.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: term budget {budget} exceeded in multiplication\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "automaton --field 2 --poly 1 --k -1 --n 2",
+    "genfun --from-automaton 1 --k -1",
+    "oracle --field 2 --poly 1 --k -1 --n 2",
+    "oracle --poly 1 --k -1 --n 2",
+    "oracle --factors 1;1 --k -1",
+])
+def test_negative_k_is_refused(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (
+        1, "", "error: k must be nonnegative, got -1\n")
+
+
+def test_polytope_walk_past_its_cap_is_refused(capsys):
+    # t = (1, ..., 12) gives 2.05e14 points; the walk stops at the visit cap
+    code, out, err = run_cli(capsys, "lattice", "ps", "--t-vec",
+                             ",".join(map(str, range(1, 13))))
+    assert (code, out) == (1, "")
+    assert err == ("error: a polytope walk over 11 coordinates exceeds "
+                   f"{lattice.MAX_WALK_VISITS} visits\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coeffcount import lattice
 from coeffcount.combinat import catalan, gbinom, multichoose
 from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.lattice import (
@@ -231,6 +232,17 @@ def test_ballot_sums_beyond_enumeration():
         assert shifted_path_count(n, s, t, "Lsum") == closed, (n, s, t)
         assert path_count_under_boundary(n, s, t) == closed, (n, s, t)
     assert distinct_monomial_count(list(range(100, 0, -1))) == catalan(100)
+
+
+def test_polytope_walk_stops_past_its_visit_cap(monkeypatch):
+    # bounds (1, 2, 3): 2 values of y_1, then 3 and 2 of y_2, so 7 visits
+    monkeypatch.setattr(lattice, "MAX_WALK_VISITS", 7)
+    assert ps_points_direct([1, 1, 1]) == 14
+    monkeypatch.setattr(lattice, "MAX_WALK_VISITS", 6)
+    with pytest.raises(LatticeError, match="exceeds 6 visits"):
+        ps_points_direct([1, 1, 1])
+    with pytest.raises(LatticeError, match="exceeds 6 visits"):
+        draconian_sequences(4)
 
 
 def test_oversized_ballot_sum_refused_before_allocation():

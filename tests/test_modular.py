@@ -10,7 +10,7 @@ from coeffcount import modular
 from coeffcount.acceptance import CORPUS_ALL, corpus_poly
 from coeffcount.automaton import StateCapError, build_automaton
 from coeffcount.ffield import Field, is_prime
-from coeffcount.mpoly import MultiPoly, parse_poly
+from coeffcount.mpoly import MultiPoly, limits, parse_poly
 from coeffcount.ratgen import fit_repunit_genfun
 
 FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5)}
@@ -63,7 +63,8 @@ def test_modular_fit_matches_fraction_reference(q, k, data):
                                 min_size=len(exps), max_size=len(exps)))
     f = MultiPoly(k, field, dict(zip(exps, coeffs)))
     try:
-        A = build_automaton(f, state_cap=SMALL_STATE_CAP)
+        with limits(states=SMALL_STATE_CAP):
+            A = build_automaton(f)
     except StateCapError:
         assume(False)
     _assert_matches_reference(A, data.draw(st.integers(1, q - 1)))

@@ -1,19 +1,27 @@
+import ast
 import functools
 import itertools
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coeffcount import mpoly
 from coeffcount.acceptance import vandermonde_poly
 from coeffcount.ffield import Field
 from coeffcount.mpoly import (
+    DEFAULT_STATE_CAP,
+    DEFAULT_TERM_BUDGET,
     BudgetError,
     MultiPoly,
     ParseError,
     ZZ,
+    current_limits,
     dense_coeffs,
     from_dense,
+    limits,
     linear_product,
     parse_poly,
 )
@@ -205,8 +213,42 @@ def test_field_pow_matches_oracle():
 
 def test_budget_error():
     f = parse_poly("1+x1+x2+x3", 3, ZZ)
-    with pytest.raises(BudgetError):
-        f.pow(40, budget=500)
+    with pytest.raises(BudgetError), limits(terms=500):
+        f.pow(40)
+
+
+def test_limits_are_restored_after_their_block():
+    defaults = (DEFAULT_TERM_BUDGET, DEFAULT_STATE_CAP)
+    assert current_limits() == defaults
+    with limits(terms=7, states=3):
+        assert current_limits() == (7, 3)
+        with limits(states=4):
+            assert current_limits() == (DEFAULT_TERM_BUDGET, 4)
+        assert current_limits() == (7, 3)
+        # a new thread starts from the defaults, not from this block
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(current_limits()))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and seen == [defaults]
+    assert current_limits() == defaults
+    with pytest.raises(BudgetError, match="term budget 2 exceeded"), limits(terms=2):
+        parse_poly("1+x1+x2", 2, ZZ).pow(2)
+    assert current_limits() == defaults
+
+
+def test_only_the_product_kernels_take_a_budget_or_state_cap():
+    # every other layer reads the limits in force; the two private kernels
+    # get the budget from callers that read it once per product
+    takers = set()
+    for path in sorted(Path(mpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if {p.arg for p in params if p} & {"budget", "state_cap"}:
+                    takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == {"mpoly._convolve", "oracle._mul_packed"}
 
 
 def test_mul_bounds_the_exponent_width():
@@ -358,9 +400,10 @@ def test_linear_product():
     # every product is bounded, the pair products included: the square of
     # x1 + ... + x4 has 10 terms
     window = dict.fromkeys(range(4), 1)
-    with pytest.raises(BudgetError):
-        linear_product(4, ZZ, [window, window], budget=9)
-    assert linear_product(4, ZZ, [window, window], budget=10).num_terms == 10
+    with pytest.raises(BudgetError), limits(terms=9):
+        linear_product(4, ZZ, [window, window])
+    with limits(terms=10):
+        assert linear_product(4, ZZ, [window, window]).num_terms == 10
 
 
 # coefficient pools with zero, so some forms lose terms or vanish

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coeffcount.ffield import Field
 from coeffcount import oracle
-from coeffcount.mpoly import BudgetError, MultiPoly, ZZ, parse_poly
+from coeffcount.mpoly import BudgetError, MultiPoly, ZZ, limits, parse_poly
 from coeffcount.oracle import (
     brute_power_census,
     brute_product_census,
@@ -96,18 +96,19 @@ def test_ladder_length_refused_before_the_first_product(monkeypatch):
     for call in (brute_power_census, power_census_series):
         with pytest.raises(BudgetError, match="100000000 products by 2 terms"):
             call(f, 10**8)
-        with pytest.raises(BudgetError):
-            call(f, 6, budget=11)
-    with pytest.raises(BudgetError):
-        power_census_series(MultiPoly.zero(1, F2), 12, budget=11)
+        with pytest.raises(BudgetError), limits(terms=11):
+            call(f, 6)
+    with pytest.raises(BudgetError), limits(terms=11):
+        power_census_series(MultiPoly.zero(1, F2), 12)
     monkeypatch.undo()
-    assert brute_power_census(f, 5, budget=10) == {1: 4}
+    with limits(terms=10):
+        assert brute_power_census(f, 5) == {1: 4}
 
 
 def test_budget_enforced():
     f = parse_poly("1+x1+x2+x3+x4", 4, ZZ)
-    with pytest.raises(BudgetError):
-        brute_product_census([f] * 12, budget=300)
+    with pytest.raises(BudgetError), limits(terms=300):
+        brute_product_census([f] * 12)
 
 
 def test_mismatched_factors_rejected():

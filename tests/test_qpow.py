@@ -13,7 +13,7 @@ import coeffcount
 from coeffcount import qpow, unipoly
 from coeffcount.automaton import DigitAutomaton, StateCapError, build_automaton
 from coeffcount.ffield import Field
-from coeffcount.mpoly import dense_coeffs, from_dense, parse_poly
+from coeffcount.mpoly import dense_coeffs, from_dense, limits, parse_poly
 from coeffcount.oracle import brute_power_census
 from coeffcount.qpow import (
     QPowError,
@@ -164,18 +164,21 @@ def test_shared_walk_keeps_the_cap_of_a_fresh_walk():
     g5 = [1, 2, 0, 3]
     want = [5, 11, 76, 380, 1886, 9451]
     qpow._last_walk.clear()
-    assert qpow_counts(g5, F5, 1, 1, 1, 6, state_cap=124) == want
-    # a shorter walk under the same cap reads the columns already made
-    assert qpow_counts(g5, F5, 1, 1, 2, 3, state_cap=124) == want[1:3]
+    with limits(states=124):
+        assert qpow_counts(g5, F5, 1, 1, 1, 6) == want
+        # a shorter walk under the same cap reads the columns already made
+        assert qpow_counts(g5, F5, 1, 1, 2, 3) == want[1:3]
     assert count_qpow(g5, F5, 1, 1, 6) == want[-1]
     # a resumed walk that passes the cap raises as a fresh one would, and
     # the walk it grew is not kept
-    assert qpow_counts(g5, F5, 1, 1, 1, 2, state_cap=123) == want[:2]
-    assert len(qpow._last_walk) == 1
-    with pytest.raises(StateCapError):
-        qpow_counts(g5, F5, 1, 1, 3, 4, state_cap=123)
+    with limits(states=123):
+        assert qpow_counts(g5, F5, 1, 1, 1, 2) == want[:2]
+        assert len(qpow._last_walk) == 1
+        with pytest.raises(StateCapError):
+            qpow_counts(g5, F5, 1, 1, 3, 4)
     assert qpow._last_walk == {}
-    assert qpow_counts(g5, F5, 1, 1, 2, 6, state_cap=124) == want[1:]
+    with limits(states=124):
+        assert qpow_counts(g5, F5, 1, 1, 2, 6) == want[1:]
 
 
 def test_threads_resuming_the_kept_walk_get_fresh_walk_counts():
