@@ -9,7 +9,7 @@ classes of exponents.  Only patterns actually reachable from the start
 pattern are materialized, which keeps the matrices small even when
 the full pattern space q^|S| is astronomical.  A (state, digit) column
 is made when a digit walk first needs it and `close()` makes the rest, so
-q-power counts (see qpow) make only the columns their walk touches.  The
+counts, q-power counts and fits make only the columns they touch.  The
 children of c*G are c times the children of G, so a column is expanded
 once per (digit, scalar orbit) and scaled for the orbit's other states.
 
@@ -403,12 +403,11 @@ class DigitAutomaton:
         return self.read_counts(alpha, list(iterates))
 
     def krylov_order(self) -> int:
-        """Krylov order D of the closed automaton's digit-1 iterates: the
-        dimension they span, at most the state count, proven from the column
-        sums q^k by modular.certified_order.  The walk stops after D digits."""
-        self.close()
+        """Krylov order D of the digit-1 iterates: the dimension they span,
+        proven from the column sums q^k by modular.certified_order.  The
+        walk stops after D digits and makes only what they reach."""
         walk = self.walk(itertools.repeat(1))
-        return modular.certified_order(walk, self._gamma_count, self.state_count)[0]
+        return modular.certified_order(walk, self._gamma_count, self._state_limit)[0]
 
     # -- checks and export ----------------------------------------------------
 

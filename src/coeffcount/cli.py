@@ -125,8 +125,7 @@ def cmd_genfun(args) -> int:
     else:
         field = parse_field(args.field)
         f = parse_poly(args.from_automaton, args.k, field)
-        A = build_automaton(f)
-        seq, rec, gf = fit_repunit_genfun(A, args.alpha)
+        seq, rec, gf = fit_repunit_genfun(DigitAutomaton(f), args.alpha)
     emit({
         **_json_gf(gf),
         "recurrence": [str(c) for c in rec.coeffs],
@@ -204,8 +203,9 @@ def cmd_lattice(args) -> int:
         emit({"direct": _json_int(lattice.ps_points_direct(ts)),
               "formula": _json_int(lattice.ps_points_formula(ts))})
     elif kind == "paths":
+        # the ballot sums' work cap refuses a large n before the binomial is formed
         emit({mode: _json_int(lattice.shifted_path_count(args.n, args.s, args.t, mode))
-              for mode in ("closed", "Lsum", "Ksum")})
+              for mode in ("Lsum", "Ksum", "closed")})
     elif kind == "mrsk":
         ms = _int_list(args.m_vec, "--m-vec")
         lhs, rhs, eq = lattice.noncrossing_identity(ms)

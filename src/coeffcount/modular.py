@@ -70,13 +70,13 @@ def certified_lift(solve, holds, base: int, limit: int):
 
 
 def certified_order(walk, column_sum: int, limit: int):
-    """(D, [v_0 .. v_D]): the first linear dependence among a walk's vectors.
+    """(D, c, [v_0 .. v_D]): the first linear dependence v_D = sum c_i v_i.
 
-    walk yields integer vectors v_0 and v_(i+1) = T v_i, of one length at
-    most limit, for a nonnegative integer matrix T with column sums at most
-    column_sum.  D is the dimension they span, so every scalar sequence read
-    off them satisfies a recurrence of order D from the first term on.  The
-    list holds exactly the vectors drawn; the caller may draw on from walk.
+    walk yields integer vectors v_0 and v_(i+1) = T v_i on at most limit
+    coordinates, T nonnegative with column sums at most column_sum; a vector
+    may be longer than earlier ones, whose missing entries read as 0.  D is
+    the dimension they span, so every scalar sequence s read off them has
+    s_(m+D) = sum c_i s_(m+i).  The list holds exactly the vectors drawn.
 
     Elimination mod p stops at the first dependence r (_first_relation_mod);
     independence mod p implies it over Q, so r <= D.  The relation
@@ -90,16 +90,18 @@ def certified_order(walk, column_sum: int, limit: int):
     iterates = [next(walk)]
 
     def solve(p):
-        return _first_relation_mod(iterates, walk, p)
+        return _first_relation_mod(iterates, walk, p, limit)
 
     def holds(r, coeffs):
-        return iterates[r] == [sum(c * v[s] for c, v in zip(coeffs, iterates))
-                               for s in range(len(iterates[r]))]
+        acc = [0] * len(iterates[r])
+        for c, v in zip(coeffs, iterates):
+            acc[:len(v)] = [a + c * x for a, x in zip(acc, v)]
+        return acc == iterates[r]
 
-    return certified_lift(solve, holds, 1 + column_sum, limit)[0], iterates
+    return (*certified_lift(solve, holds, 1 + column_sum, limit), iterates)
 
 
-def _first_relation_mod(iterates, walk, p: int):
+def _first_relation_mod(iterates, walk, p: int, limit: int):
     """(r, c): the first iterate with v_r = sum_{i<r} c_i v_i modulo p.
 
     Eliminates the iterates in order, drawing more from walk onto the
@@ -110,11 +112,10 @@ def _first_relation_mod(iterates, walk, p: int):
     A row is packed into one int, one little-endian field per entry, so a
     row operation is one big-int multiply-add: adding c times the packed
     residues of -u_j.  A field holds its residue plus one product below
-    p^2 per earlier row without carrying into the next field; entries are
-    reduced mod p only when read.
+    p^2 per earlier row (at most limit) without carrying into the next
+    field; a row is read at its own length, reduced mod p.
     """
-    n = len(iterates[0])
-    width = (2 * p.bit_length() + n.bit_length()) // 8 + 1
+    width = (2 * p.bit_length() + limit.bit_length()) // 8 + 1
     bits = 8 * width
     mask = (1 << bits) - 1
 
@@ -126,6 +127,7 @@ def _first_relation_mod(iterates, walk, p: int):
     for m in itertools.count():
         if m == len(iterates):
             iterates.append(next(walk))
+        n = len(iterates[m])
         row = pack([x % p for x in iterates[m]])
         mults = []
         for pos, neg, _, _ in pivots:

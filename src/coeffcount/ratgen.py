@@ -5,10 +5,10 @@ coefficients give the denominator, and the denominator times the leading
 terms gives the numerator.  A sequence given on its own (`fit_recurrence`)
 is fitted over the rationals.  An automaton's repunit counts
 (`fit_repunit_genfun`) are read from one digit-1 walk: its first D + 1
-iterates prove the order bound D (`modular.certified_order`), and the
-same walk goes on to the 2D + 11 iterates whose counts are fitted modulo
-61-bit primes; the lifted recurrence is certified by an exact integer
-fit on all of them (see modular).
+iterates prove the order bound D and the relation among them
+(`modular.certified_order`), which extends the counts to the 2D + 11
+that are fitted modulo 61-bit primes; the lifted recurrence is certified
+by an exact integer fit on all of them (see modular).
 Numerators and denominators are dense integer polynomials, added and
 multiplied by `unipoly.add/sub/mul` over `mpoly.ZZ`.  All arithmetic is
 exact (ints, Fractions and residues), never floating point.
@@ -255,11 +255,11 @@ def seq_to_genfun(seq, rec: LinearRecurrence) -> RationalGF:
 def fit_repunit_genfun(automaton, alpha):
     """Provably-correct generating function of an automaton's repunit counts.
 
-    One digit-1 walk of the closed automaton: its first D + 1 iterates
-    prove the Krylov order D (see modular.certified_order), so the counts
-    satisfy an order-D recurrence valid from the first term, and the same
-    walk goes on to 2D + 11 iterates, whose counts are the sequence.  A bad
-    alpha is refused before any column is made or digit applied.
+    One digit-1 walk, making only the columns and states it reaches: its
+    D + 1 iterates prove the Krylov order D and v_D = sum c_i v_i (see
+    modular.certified_order), so s_(m+D) = sum c_i s_(m+i) extends their
+    counts s_0 .. s_D to the 2D + 11 terms of the sequence.  A bad alpha
+    is refused before any column is made or digit applied.
 
     Berlekamp-Massey runs modulo a 61-bit prime p.  The minimal recurrence
     over Q is integral with constant term 1 (Fatou), so its reduction is a
@@ -271,12 +271,12 @@ def fit_repunit_genfun(automaton, alpha):
     coefficients.  Returns (sequence, recurrence, generating function).
     """
     automaton.read_counts(alpha, [])  # refuses alpha = 0 or a non-integer
-    walk = automaton.close().walk(itertools.repeat(1))
+    walk = automaton.walk(itertools.repeat(1))
     q_k = automaton.field.q**automaton.f.k  # the column sum of the digit-1 matrix
-    D, iterates = modular.certified_order(walk, q_k, automaton.state_count)
-    terms = 2 * D + 11
-    iterates += itertools.islice(walk, terms - len(iterates))
+    D, coeffs, iterates = modular.certified_order(walk, q_k, automaton._state_limit)
     seq = automaton.read_counts(alpha, iterates)
+    while len(seq) < 2 * D + 11:  # D >= 1: the start vector is not zero
+        seq.append(sum(c * s for c, s in zip(coeffs, seq[-D:])))
 
     def solve(p):
         return _berlekamp_massey(seq, p)
@@ -286,6 +286,6 @@ def fit_repunit_genfun(automaton, alpha):
 
     rec = _recurrence(seq, modular.certified_lift(solve, holds, 1 + q_k, D)[1])
     gf = seq_to_genfun(seq, rec)
-    if gf.expand(terms) != seq:
+    if gf.expand(len(seq)) != seq:
         raise RecurrenceError("generating function failed to reproduce the counts")
     return seq, rec, gf

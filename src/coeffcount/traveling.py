@@ -22,13 +22,25 @@ from math import comb
 from . import unipoly
 from .automaton import DigitAutomaton
 from .combinat import narayana
-from .ffield import Field, is_prime
+from .ffield import DEFAULT_MAX_Q, Field, is_prime
 from .mpoly import ZZ, MultiPoly, linear_product
 from .ratgen import RationalGF
 
 
 class TravelingError(ValueError):
     pass
+
+
+# most terms `traveling_seq` and `h_seq` expand, checked before the first:
+# the terms' bit lengths grow linearly, so the work and the printed digits
+# grow as terms^2 (`traveling seq` prints 10 000 terms, 21 MB, in about 1 s
+# with Python 3.11 on a shared 2-CPU machine)
+MAX_SEQ_TERMS = 10_000
+
+
+def _check_terms(terms: int) -> None:
+    if terms > MAX_SEQ_TERMS:
+        raise TravelingError(f"{terms} terms exceed the cap {MAX_SEQ_TERMS}")
 
 
 # -- chain products over F_p ------------------------------------------------------
@@ -38,8 +50,11 @@ def h_genfun(p: int) -> RationalGF:
     """Generating function of N(prod_{i<=n} (1 + x_i + x_{i+1})) over F_p.
 
     Equals (1 - z^p) / ((1 - z)^2 - z(1 - z^p)), stored in the cleared
-    form (1 + z + ... + z^(p-1)) / (1 - 2z - z^2 - ... - z^p).
+    form (1 + z + ... + z^(p-1)) / (1 - 2z - z^2 - ... - z^p); p is
+    refused past the field cap DEFAULT_MAX_Q before either list is made.
     """
+    if p > DEFAULT_MAX_Q:
+        raise TravelingError(f"p = {p} exceeds the cap {DEFAULT_MAX_Q}")
     if not is_prime(p):
         raise TravelingError(f"{p} is not prime")
     num = [1] * p
@@ -48,6 +63,7 @@ def h_genfun(p: int) -> RationalGF:
 
 
 def h_seq(p: int, terms: int):
+    _check_terms(terms)
     return h_genfun(p).expand(terms)
 
 
@@ -95,6 +111,7 @@ def traveling_genfun(j: int, k: int) -> RationalGF:
 
 
 def traveling_seq(j: int, k: int, terms: int):
+    _check_terms(terms)
     return traveling_genfun(j, k).expand(terms)
 
 

@@ -1,9 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from coeffcount import automaton
 from coeffcount.automaton import (
     AutomatonError,
     DigitAutomaton,
@@ -535,3 +538,20 @@ def test_discovery_order_and_state_cap_unchanged():
         assert qpow.qpow_counts(g, F5, 1, 1, 2, 6) == [11, 76, 380, 1886, 9451]
     with pytest.raises(StateCapError), limits(states=123):
         qpow.qpow_counts(g, F5, 1, 1, 2, 6)
+
+
+def test_only_the_paths_that_print_every_state_close_an_automaton():
+    # a walk makes only the columns it needs; closing is for the places
+    # that print or check every state
+    closers = set()
+    for path in sorted(Path(automaton.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    func = getattr(call, "func", None)
+                    if getattr(func, "attr", getattr(func, "id", None)) in (
+                            "close", "build_automaton"):
+                        closers.add(f"{path.stem}.{node.name}")
+    assert closers == {"automaton.build_automaton", "automaton.to_json_dict",
+                       "automaton.column_sum_violations", "cli.cmd_automaton",
+                       "acceptance.corpus_automaton"}

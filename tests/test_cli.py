@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import coeffcount
-from coeffcount import cli, lattice, oracle
+from coeffcount import cli, lattice, oracle, traveling
 from coeffcount.cli import MAX_EXPONENT_DIGITS, main, parse_field
+from coeffcount.ffield import DEFAULT_MAX_Q
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +356,19 @@ def test_oracle_state_cap_bounds_only_the_states_its_count_reaches(capsys):
     assert (code, out) == (1, "") and "state cap 3 exceeded" in err
 
 
+def test_genfun_state_cap_bounds_only_the_states_its_fit_reaches(capsys):
+    # the closure of this F_3 polynomial has 45 states; the fit's digit-1
+    # walk discovers 3 of them
+    argv = ["genfun", "--field", "3", "--k", "2",
+            "--from-automaton", "2+x1*x2^2+x1^2*x2+x1^2*x2^2"]
+    code, out, _ = run_cli(capsys, "--state-cap", "10", *argv)
+    data = json.loads(out)
+    assert code == 0 and (data["numerator"], data["denominator"]) == (
+        ["1", "-3"], ["1", "-6", "8"])
+    code, out, err = run_cli(capsys, "--state-cap", "2", *argv)
+    assert (code, out, err) == (1, "", "error: state cap 2 exceeded\n")
+
+
 @pytest.mark.parametrize("argv, points", [
     (["--poly", "1+x^100000000"], 100_000_001),
     (["--k", "2", "--poly", "1+x1^3000*x2^3000"], 3001**2),
@@ -498,6 +512,43 @@ def test_long_exponents_refused_up_front(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "brute_power_census", never)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and message in err
+
+
+def test_lattice_paths_refused_before_the_closed_binomial(capsys, monkeypatch):
+    # the ballot sums refuse n = 2 * 10^6 under their work cap at once; the
+    # closed binomial of that n alone takes seconds
+    real = lattice.shifted_path_count
+
+    def sums_first(n, s, t, mode):
+        if mode == "closed":
+            raise AssertionError("the closed binomial came before the work cap")
+        return real(n, s, t, mode)
+
+    monkeypatch.setattr(lattice, "shifted_path_count", sums_first)
+    code, out, err = run_cli(capsys, "lattice", "paths", "--n", "2000000")
+    assert (code, out) == (1, "")
+    assert f"exceeds the work cap {lattice.BALLOT_WORK_CAP}" in err
+
+
+CAP = traveling.MAX_SEQ_TERMS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "--terms", str(CAP + 1)], f"{CAP + 1} terms exceed the cap {CAP}"),
+    (["h-seq", "--terms", str(CAP + 1)], f"{CAP + 1} terms exceed the cap {CAP}"),
+    (["h-seq", "--p", "100000007"], f"p = 100000007 exceeds the cap {DEFAULT_MAX_Q}"),
+])
+def test_traveling_sequences_refused_before_they_expand(capsys, monkeypatch, argv,
+                                                         message):
+    def never(*args):
+        raise AssertionError("the refusal came too late")
+
+    for name in ("traveling_genfun", "is_prime"):
+        monkeypatch.setattr(traveling, name, never)
+    code, out, err = run_cli(capsys, "traveling", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    monkeypatch.undo()
+    assert len(traveling.traveling_seq(1, 3, CAP)) == len(traveling.h_seq(2, CAP)) == CAP
 
 
 def test_qpow_c_at_the_length_bound(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fraction_reference as ref
 from coeffcount import modular
 from coeffcount.acceptance import CORPUS_ALL, corpus_poly
-from coeffcount.automaton import StateCapError, build_automaton
+from coeffcount.automaton import DigitAutomaton, StateCapError, build_automaton
 from coeffcount.ffield import Field, is_prime
 from coeffcount.mpoly import MultiPoly, limits, parse_poly
 from coeffcount.ratgen import fit_repunit_genfun
@@ -68,6 +68,59 @@ def test_modular_fit_matches_fraction_reference(q, k, data):
     except StateCapError:
         assume(False)
     _assert_matches_reference(A, data.draw(st.integers(1, q - 1)))
+
+
+@pytest.mark.parametrize("text, q, k, D, lengths, closed_states", [
+    # the digit-1 walk reaches 3 of the closure's 45 states
+    ("2+x1*x2^2+x1^2*x2+x1^2*x2^2", 3, 2, 3, [1, 3, 3, 3], 45),
+    # states are interned after the second and third steps, mid-elimination
+    ("1+x+x^3", 2, 1, 4, [1, 2, 4, 7, 7], 8),
+])
+def test_certified_order_on_a_growing_walk(text, q, k, D, lengths, closed_states):
+    f = parse_poly(text, k, FIELDS[q])
+    walk = DigitAutomaton(f).walk(itertools.repeat(1))
+    order, coeffs, iterates = modular.certified_order(walk, q**k, 64)
+    assert (order, [len(v) for v in iterates]) == (D, lengths)
+    # the proven relation v_D = sum c_i v_i, on zero-padded vectors
+    padded = [v + [0] * (lengths[-1] - len(v)) for v in iterates]
+    assert padded[D] == [sum(c * v[s] for c, v in zip(coeffs, padded))
+                         for s in range(lengths[-1])]
+    closed = build_automaton(f)
+    assert (closed.krylov_order(), closed.state_count) == (D, closed_states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(FIELDS)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_lazy_fit_matches_closed_fit(q, k, data):
+    # a lazy fit discovers only states that digit 1 reaches from the start,
+    # so it runs under a state cap of that many and returns the closed
+    # automaton's (sequence, recurrence, generating function)
+    field = FIELDS[q]
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * k),
+        min_size=1, max_size=4, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly(k, field, dict(zip(exps, coeffs)))
+    try:
+        with limits(states=SMALL_STATE_CAP):
+            closed = build_automaton(f)
+    except StateCapError:
+        assume(False)
+    reach, todo = {closed.initial}, [closed.initial]
+    while todo:
+        for child, _ in closed.transitions[1][todo.pop()]:
+            if child not in reach:
+                reach.add(child)
+                todo.append(child)
+    alpha = data.draw(st.integers(1, q - 1))
+    with limits(states=len(reach)):
+        lazy_fit = fit_repunit_genfun(DigitAutomaton(f), alpha)
+    assert lazy_fit == fit_repunit_genfun(closed, alpha)
 
 
 @pytest.mark.parametrize("name", CORPUS_ALL)

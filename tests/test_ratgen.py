@@ -188,8 +188,8 @@ def test_fit_repunit_genfun_certified():
 
 @pytest.mark.parametrize("name, D", [("viii", 12), ("vp3", 4)])
 def test_fit_repunit_genfun_walks_the_iterates_once(monkeypatch, name, D):
-    # the D products that prove the Krylov order are the first D of the
-    # 2D + 10 that the counts need: 34 for viii and 18 for vp3
+    # the D products that prove the Krylov order are all the fit makes: the
+    # proven relation among the iterates extends the counts to 2D + 11
     A = build_automaton(corpus_poly(name))
     apply_digit = A.apply_digit
     digits = []
@@ -200,7 +200,7 @@ def test_fit_repunit_genfun_walks_the_iterates_once(monkeypatch, name, D):
 
     monkeypatch.setattr(A, "apply_digit", counted)
     seq, _, _ = fit_repunit_genfun(A, 1)
-    assert digits == [1] * (2 * D + 10) and len(seq) == 2 * D + 11
+    assert digits == [1] * D and len(seq) == 2 * D + 11
     monkeypatch.undo()
     assert A.krylov_order() == D
 
