@@ -230,10 +230,10 @@ def cmd_traveling(args) -> int:
         emit({"terms": [str(v)
                         for v in traveling.traveling_seq(args.j, args.k, args.terms)]})
     elif kind == "theta":
+        # the matrix first: it refuses a k past its cap before theta_charpoly runs
+        matrix = traveling.connectivity_matrix(args.k, args.m)
         emit({"charpoly": [str(c) for c in traveling.theta_charpoly(args.k, args.m)],
-              "determinant_path": [
-                  str(c) for c in traveling.charpoly(
-                      traveling.connectivity_matrix(args.k, args.m))]})
+              "determinant_path": [str(c) for c in traveling.charpoly(matrix)]})
     elif kind == "v-genfun":
         emit(_json_gf(traveling.window_power_genfun(args.k, args.m)))
     elif kind == "d-counts":

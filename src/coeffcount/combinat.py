@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: binomials, Catalan-family numbers, partitions."""
+"""Exact combinatorial primitives: binomials and their rows, Catalan-family numbers, partitions."""
 
 from __future__ import annotations
 
@@ -30,6 +30,27 @@ def multichoose(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError("multichoose needs nonnegative arguments")
     return gbinom(a + b - 1, b)
+
+
+def binomial_row(x: int, top: int) -> list:
+    """[C(x, 0), ..., C(x, top)] for any integer x, by the recurrence
+    C(x, k) = C(x, k-1) (x-k+1) / k, each quotient exact: the row of gbinom."""
+    row, c = [1], 1
+    for k in range(1, top + 1):
+        c = c * (x - k + 1) // k
+        row.append(c)
+    return row
+
+
+def multichoose_row(x: int, top: int) -> list:
+    """[C(x-1, 0), ..., C(x+top-1, top)] for any integer x, by the recurrence
+    C(x+k-1, k) = C(x+k-2, k-1) (x+k-1) / k, each quotient exact: the row of
+    multichoose for x >= 0, and of gbinom(x+k-1, k) for every x."""
+    row, c = [1], 1
+    for k in range(1, top + 1):
+        c = c * (x + k - 1) // k
+        row.append(c)
+    return row
 
 
 def catalan(n: int) -> int:

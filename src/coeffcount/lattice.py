@@ -10,7 +10,10 @@ product polynomials (nested sums, ascending, Fuss and staircase powers)
 are products of linear forms, expanded by `mpoly.linear_product`.
 
 Every weighted sum over ballot-bounded sequences is evaluated by one
-transfer DP over (position, prefix sum), `_ballot_sum`; the enumerators
+transfer DP over (position, prefix sum), `_ballot_sum`, which takes each
+position's whole weight row from `combinat.binomial_row` or
+`combinat.multichoose_row` (exact recurrences, no per-entry binomial
+calls); the enumerators
 `draconian_sequences` and `lpath_sequences` list the sequences themselves
 and are the independent check of those sums.  They and the direct
 polytope counts (`ps_points_direct`, `ps_interior_direct`,
@@ -23,7 +26,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .combinat import catalan, gbinom, multichoose
+from .combinat import binomial_row, catalan, multichoose_row
 from .mpoly import ZZ, MultiPoly, linear_product
 
 DEFAULT_ENUM_CAP = 15
@@ -83,17 +86,18 @@ def _bounded_sequences(caps, total: int):
     return [y + (rest,) for y, rest in _prefixes([min(cap, total) for cap in caps])]
 
 
-def _ballot_sum(caps, total: int, weight) -> int:
+def _ballot_sum(caps, total: int, rows) -> int:
     """Sum over k in N^n, n = len(caps), with k_1 + ... + k_j <= caps[j-1]
-    and sum k = total, of prod_j weight(j, k_j) (j is 1-based).
+    and sum k = total, of prod_j w_j(k_j), where rows(j, top) returns
+    position j's weights [w_j(0), ..., w_j(top)] (j is 1-based).
 
     A transfer DP over prefix sums (Stanley, EC1, 4.7): row[s] is the
     weighted count of the prefixes k_1..k_j that sum to s, and position j+1
-    turns it into the next row by a convolution with weight(j+1, 0..),
+    turns it into the next row by a convolution with its weight row,
     truncated at the cap.  The last entry is forced to total - s, so the
     last step is one dot product.  Every entry is kept whatever its sign,
     so negative weights are summed exactly.  Raises LatticeError before the
-    first row is allocated if the DP would visit more than BALLOT_WORK_CAP
+    first row is built if the DP would visit more than BALLOT_WORK_CAP
     pairs of entries (at most n (total + 1)^2).
     """
     n = len(caps)
@@ -117,11 +121,10 @@ def _ballot_sum(caps, total: int, weight) -> int:
     row = [1]
     for j, cap in enumerate(caps[:-1], 1):
         top = min(cap, total)
-        rev = [weight(j, k) for k in range(top, -1, -1)]
-        width = len(row)
-        row = [sum(map(mul, row, rev[top - s:top - s + width]))
-               for s in range(top + 1)]
-    return sum(ways * weight(n, total - s) for s, ways in enumerate(row))
+        rev = rows(j, top)[::-1]
+        # rev[top - s:] holds w_j(s), w_j(s-1), ...: map stops at the row's end
+        row = [sum(map(mul, row, rev[top - s:])) for s in range(top + 1)]
+    return sum(map(mul, row, reversed(rows(n, total))))
 
 
 def draconian_sequences(n: int):
@@ -189,7 +192,7 @@ def distinct_monomial_count(parts) -> int:
     ext = parts + [0]
     drops = [ext[i] - ext[i + 1] for i in range(n)]
     return _ballot_sum(range(1, n + 1), n,
-                       lambda j, k: multichoose(drops[j - 1], k))
+                       lambda j, top: multichoose_row(drops[j - 1], top))
 
 
 def catalan_inversion(n: int) -> int:
@@ -243,7 +246,7 @@ def ps_points_formula(ts) -> int:
     if any(t < 0 for t in ts):
         raise LatticeError("t entries must be nonnegative")
     return _ballot_sum(range(1, n + 1), n,
-                       lambda j, k: multichoose(ts[j - 1] + (j == n), k))
+                       lambda j, top: multichoose_row(ts[j - 1] + (j == n), top))
 
 
 def ps_interior_transform(ms):
@@ -289,7 +292,7 @@ def shifted_path_count(n: int, s: int, t: int, mode: str = "closed") -> int:
         return num // n
     if mode == "Lsum":
         return _ballot_sum(range(t - 1, t * n, t), t * n - 1,
-                           lambda j, k: comb(k + s - 1, k))
+                           lambda j, top: multichoose_row(s, top))
     if mode == "Ksum":
         return distinct_monomial_count(staircase_parts(n, s, t))
     raise LatticeError(f"unknown mode {mode!r}")
@@ -336,8 +339,8 @@ def noncrossing_identity(ms):
     ms = list(ms)
     n = len(ms)
     caps = range(1, n + 1)
-    lhs = _ballot_sum(caps, n, lambda j, k: gbinom(ms[j - 1] + (j < n), k))
-    rhs = _ballot_sum(caps, n, lambda j, k: gbinom(ms[j - 1] + k - 1, k))
+    lhs = _ballot_sum(caps, n, lambda j, top: binomial_row(ms[j - 1] + (j < n), top))
+    rhs = _ballot_sum(caps, n, lambda j, top: multichoose_row(ms[j - 1], top))
     return lhs, rhs, lhs == rhs
 
 

@@ -128,13 +128,17 @@ class RationalGF(_Record):
         return RationalGF.make(unipoly.mul(ZZ, den, head)[:len(head)], den)
 
     def expand(self, terms: int):
-        """First `terms` Taylor coefficients, exact integers."""
+        """First `terms` Taylor coefficients, exact integers: each term
+        takes one product per nonzero denominator coefficient it reaches."""
+        num = self.num
+        taps = [(i, c) for i, c in enumerate(self.den) if i and c]
         out = []
-        num, den = self.num, self.den
         for m in range(terms):
             val = num[m] if m < len(num) else 0
-            for i in range(1, min(m, len(den) - 1) + 1):
-                val -= den[i] * out[m - i]
+            for i, c in taps:
+                if i > m:
+                    break
+                val -= c * out[m - i]
             out.append(val)
         return out
 

@@ -46,25 +46,34 @@ def _check_terms(terms: int) -> None:
 # -- chain products over F_p ------------------------------------------------------
 
 
-def h_genfun(p: int) -> RationalGF:
-    """Generating function of N(prod_{i<=n} (1 + x_i + x_{i+1})) over F_p.
-
-    Equals (1 - z^p) / ((1 - z)^2 - z(1 - z^p)), stored in the cleared
-    form (1 + z + ... + z^(p-1)) / (1 - 2z - z^2 - ... - z^p); p is
-    refused past the field cap DEFAULT_MAX_Q before either list is made.
-    """
+def _check_chain_prime(p: int) -> None:
+    """Refuses p past the field cap DEFAULT_MAX_Q, before any p-length list
+    is made, and a p that is not prime."""
     if p > DEFAULT_MAX_Q:
         raise TravelingError(f"p = {p} exceeds the cap {DEFAULT_MAX_Q}")
     if not is_prime(p):
         raise TravelingError(f"{p} is not prime")
-    num = [1] * p
-    den = [1, -2] + [-1] * (p - 1)
-    return RationalGF.make(num, den)
+
+
+def h_genfun(p: int) -> RationalGF:
+    """Generating function of N(prod_{i<=n} (1 + x_i + x_{i+1})) over F_p.
+
+    Equals (1 - z^p) / ((1 - z)^2 - z(1 - z^p)), stored in the cleared
+    form (1 + z + ... + z^(p-1)) / (1 - 2z - z^2 - ... - z^p).
+    """
+    _check_chain_prime(p)
+    return RationalGF.make([1] * p, [1, -2] + [-1] * (p - 1))
 
 
 def h_seq(p: int, terms: int):
+    """The first `terms` coefficients of h_genfun(p), expanded from the
+    uncleared form (1 - z^p) / (1 - 3z + z^2 + z^(p+1)), the cleared one
+    with both sides times 1 - z: its denominator has 4 nonzero coefficients
+    where the cleared one has p + 1, so each term takes 3 products."""
     _check_terms(terms)
-    return h_genfun(p).expand(terms)
+    _check_chain_prime(p)
+    return RationalGF.make([1] + [0] * (p - 1) + [-1],
+                           [1, -3, 1] + [0] * (p - 2) + [1]).expand(terms)
 
 
 def h_poly(p: int, n: int) -> MultiPoly:
@@ -165,15 +174,24 @@ def pm_chain_genfun(t: int) -> RationalGF:
 
 # -- windowed powers and their transfer matrix --------------------------------------
 
+# largest window k the transfer matrix is built for: `charpoly`'s
+# Faddeev-LeVerrier steps take about k^4 products, so the (k+1)^2 matrix of
+# `traveling theta` at m = 3 took 0.36 s at k = 40, 0.85 s at 50 and 1.1 s
+# at 60 (Python 3.11, shared 2-CPU machine); `v-genfun` at k = 50 took 13 ms
+MAX_WINDOW_K = 50
+
 
 def connectivity_matrix(k: int, m: int):
     """(k+1) x (k+1) binomial transfer matrix for the windowed powers.
 
     Row i, column 0 holds C(m-1+i, m-1); column j >= 1 holds
     C(m+i-j, m-1), which vanishes for j > i + 1 (one superdiagonal).
+    A k past MAX_WINDOW_K is refused before the first entry is made.
     """
     if k < 0 or m < 0:
         raise TravelingError("need k, m >= 0")
+    if k > MAX_WINDOW_K:
+        raise TravelingError(f"k = {k} exceeds the cap {MAX_WINDOW_K}")
 
     def entry(i, j):
         top = (m - 1 + i) if j == 0 else (m + i - j)

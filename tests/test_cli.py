@@ -551,6 +551,31 @@ def test_traveling_sequences_refused_before_they_expand(capsys, monkeypatch, arg
     assert len(traveling.traveling_seq(1, 3, CAP)) == len(traveling.h_seq(2, CAP)) == CAP
 
 
+def test_h_seq_at_the_largest_p(capsys):
+    # the uncleared series takes 3 products a term whatever p is
+    code, out, _ = run_cli(capsys, "traveling", "h-seq", "--p", "65521", "--terms",
+                           str(CAP))
+    terms = json.loads(out)["terms"]
+    assert code == 0 and len(terms) == CAP
+    assert terms[:9] == [str(v) for v in traveling.h_genfun(65521).expand(9)]
+
+
+@pytest.mark.parametrize("kind", ["theta", "v-genfun"])
+def test_window_matrix_refused_past_its_cap(capsys, monkeypatch, kind):
+    def never(*args):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr(traveling, "theta_charpoly", never)
+    code, out, err = run_cli(capsys, "traveling", kind, "--k", "100000", "--m", "3")
+    assert (code, out, err) == (
+        1, "", f"error: k = 100000 exceeds the cap {traveling.MAX_WINDOW_K}\n")
+    monkeypatch.undo()
+    k = traveling.MAX_WINDOW_K
+    assert len(traveling.connectivity_matrix(k, 3)) == k + 1
+    with pytest.raises(traveling.TravelingError, match="exceeds the cap"):
+        traveling.connectivity_matrix(k + 1, 3)
+
+
 def test_qpow_c_at_the_length_bound(capsys):
     # MAX_EXPONENT_DIGITS characters are read; leading zeros keep c = 1 cheap
     code, out, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3", "--c",

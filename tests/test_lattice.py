@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coeffcount import lattice
-from coeffcount.combinat import catalan, gbinom, multichoose
+from coeffcount.combinat import binomial_row, catalan, gbinom, multichoose, multichoose_row
 from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.lattice import (
     LatticeError,
@@ -174,6 +174,17 @@ def _brute(seqs, weight):
             term *= weight(j, kj)
         total += term
     return total
+
+
+def test_weight_rows_match_their_binomials():
+    # the ballot sums' rows come from these recurrences, negative x included
+    for x in range(-8, 9):
+        for top in range(13):
+            ks = range(top + 1)
+            assert binomial_row(x, top) == [gbinom(x, k) for k in ks], (x, top)
+            assert multichoose_row(x, top) == [gbinom(x + k - 1, k) for k in ks], (x, top)
+            if x >= 0:
+                assert multichoose_row(x, top) == [multichoose(x, k) for k in ks]
 
 
 @settings(max_examples=40, deadline=None)

@@ -51,6 +51,14 @@ def test_h_series():
             assert h_poly(p, n).num_terms == series[n], (p, n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_h_seq_matches_the_cleared_series(p):
+    # h_seq expands the uncleared form, whose denominator has zero
+    # coefficients between z^2 and z^(p+1)
+    terms = 3 * p + 5
+    assert h_seq(p, terms) == h_genfun(p).expand(terms)
+
+
 @pytest.mark.parametrize("p", [0, -2, 1, 4])
 def test_h_series_needs_a_prime(capsys, p):
     # the chain series is a census over F_p, as h_poly's Field(p) demands
