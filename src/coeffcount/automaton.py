@@ -12,6 +12,8 @@ is made when a digit walk first needs it and `close()` makes the rest, so
 counts, q-power counts and fits make only the columns they touch.  The
 children of c*G are c times the children of G, so a column is expanded
 once per (digit, scalar orbit) and scaled for the orbit's other states.
+A column is a dict {child state: multiplicity} in the order its children
+were discovered; only the export (`to_json_dict`) sorts it by child.
 
 Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
 counts and censuses its last vector; repunit counts, the Krylov order and
@@ -90,8 +92,9 @@ class DigitAutomaton:
         field, f: the coefficient field and base polynomial.
         states: the patterns discovered so far, bytes over box points.
         transitions: per digit a, a list over states of sparse columns
-            [(child_state, multiplicity), ...] summing to q^k, or None
-            where the column is not made yet.
+            {child_state: multiplicity} summing to q^k, children in the
+            order the column discovered them (`to_json_dict` sorts them),
+            or None where the column is not made yet.
         initial: index of the pattern of the constant polynomial 1.
     """
 
@@ -126,7 +129,8 @@ class DigitAutomaton:
         self.transitions = [[] for _ in range(q)]
         self._state_index: dict[bytes, int] = {}
         self._missing = 0  # (state, digit) columns not made yet
-        # per digit, unit pattern U -> (lead, column order) of the first state
+        self._zero_state = None  # the zero pattern's index, once a column interns it
+        # per digit, unit pattern U -> (lead, column) of the first state
         # lead * U whose column was expanded; F_2 has no scalar but 1
         self._orbit_columns = None if q == 2 else [{} for _ in range(q)]
 
@@ -233,10 +237,10 @@ class DigitAutomaton:
         G -> f^a G is F_q-linear, so the children of c*G are c times the
         children of G, in the same order.  Over q > 2 a column is expanded
         once per scalar orbit: the state G = lead * U (lead its first
-        nonzero byte) stores its column's distinct children with their
-        multiplicities, in first-seen order, under U, and a later state
-        c * U interns them scaled by c / lead in that order, which is the
-        order its own expansion would intern them in.
+        nonzero byte) stores its column, the dict of its distinct children
+        and their multiplicities in first-seen order, under U, and a later
+        state c * U interns them scaled by c / lead in that order, which is
+        the order its own expansion would intern them in.
         """
         G = self.states[src]
         index_get = self._state_index.get
@@ -263,23 +267,24 @@ class DigitAutomaton:
                     column[idx] = column.get(idx, 0) + 1
                 empty = self._gamma_count - len(slices)
                 if empty:
-                    column[self._intern(bytes(len(G)))] = empty
-                order = column.items()
+                    zero = self._zero_state
+                    if zero is None:
+                        zero = self._zero_state = self._intern(bytes(len(G)))
+                    column[zero] = empty
                 if unit is not None:
-                    order = list(order)
-                    orbit_columns[a][unit] = (lead, order)
+                    orbit_columns[a][unit] = (lead, column)
             else:
-                made_lead, made_order = made
+                made_lead, made_column = made
                 states = self.states
                 table = field._scale[field._mul[lead][field._inv[made_lead]]]
-                order = []
-                for child, mult in made_order:
+                column = {}
+                for child, mult in made_column.items():
                     pat = states[child].translate(table)
                     idx = index_get(pat)
                     if idx is None:
                         idx = self._intern(pat)
-                    order.append((idx, mult))
-            self.transitions[a][src] = sorted(order)
+                    column[idx] = mult
+            self.transitions[a][src] = column
             self._missing -= 1
 
     def close(self) -> DigitAutomaton:
@@ -331,7 +336,7 @@ class DigitAutomaton:
         out = [0] * len(self.states)
         for src, x in enumerate(vec):
             if x:
-                for child, mult in cols[src]:
+                for child, mult in cols[src].items():
                     out[child] += mult * x
         return out
 
@@ -416,7 +421,7 @@ class DigitAutomaton:
         self.close()
         expected = self.field.q**self.f.k
         return [(a, src) for a, cols in enumerate(self.transitions)
-                for src, col in enumerate(cols) if sum(m for _, m in col) != expected]
+                for src, col in enumerate(cols) if sum(col.values()) != expected]
 
     def to_json_dict(self):
         self.close()
@@ -431,7 +436,7 @@ class DigitAutomaton:
             "states": [list(pat) for pat in self.states],
             "initial": self.initial,
             "transitions": [
-                [[list(pair) for pair in col] for col in cols]
+                [[list(pair) for pair in sorted(col.items())] for col in cols]
                 for cols in self.transitions
             ],
         }

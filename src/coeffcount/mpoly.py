@@ -327,8 +327,11 @@ def _convolve(outer, inner, ring, budget: int) -> dict:
     the order the loop first reaches them, outer terms outside; sums that
     cancel stay as 0.  The key layout must hold every key sum.  Over a field
     with operation tables (q <= 256) they are indexed inline.  Raises
-    BudgetError when a finished outer row leaves more than budget keys."""
+    BudgetError when a finished outer row leaves more than budget keys;
+    the rows are checked only when the pairs outnumber the budget, since
+    no product holds more keys than pairs."""
     out: dict[int, int] = {}
+    checked = len(outer) * len(inner) > budget
     if isinstance(ring, Field) and ring._mul is not None:
         add_table, mul_table = ring._add, ring._mul
         get = out.get
@@ -339,7 +342,7 @@ def _convolve(outer, inner, ring, budget: int) -> dict:
                 c = row[c1]
                 prev = get(key)
                 out[key] = c if prev is None else add_table[prev][c]
-            if len(out) > budget:
+            if checked and len(out) > budget:
                 raise BudgetError(f"term budget {budget} exceeded in multiplication")
         return out
     radd = ring.add
@@ -352,7 +355,7 @@ def _convolve(outer, inner, ring, budget: int) -> dict:
                 out[key] = radd(out[key], c)
             else:
                 out[key] = c
-        if len(out) > budget:
+        if checked and len(out) > budget:
             raise BudgetError(f"term budget {budget} exceeded in multiplication")
     return out
 

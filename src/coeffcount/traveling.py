@@ -179,6 +179,13 @@ def pm_chain_genfun(t: int) -> RationalGF:
 # `traveling theta` at m = 3 took 0.36 s at k = 40, 0.85 s at 50 and 1.1 s
 # at 60 (Python 3.11, shared 2-CPU machine); `v-genfun` at k = 50 took 13 ms
 MAX_WINDOW_K = 50
+# largest bound k * bitlen(m + k) on the entries' bit length (every entry is
+# below (m + k)^k): the product steps grow with it.  At k = 50, `theta` took
+# 0.49 / 0.81 / 1.27 / 2.02 / 2.88 / 5.55 s in process at m = 3 / 10^3 / 10^6 /
+# 10^9 / 10^12 / 10^20 (300 / 550 / 1000 / 1500 / 2000 / 3350 bits); a smaller
+# k at the same bits costs less (k = 25, 2500 bits: 0.24 s; k = 10, 3330 bits:
+# 17 ms), so the cap admits m up to about 10^6 at k = 50
+MAX_WINDOW_BITS = 1024
 
 
 def connectivity_matrix(k: int, m: int):
@@ -186,12 +193,18 @@ def connectivity_matrix(k: int, m: int):
 
     Row i, column 0 holds C(m-1+i, m-1); column j >= 1 holds
     C(m+i-j, m-1), which vanishes for j > i + 1 (one superdiagonal).
-    A k past MAX_WINDOW_K is refused before the first entry is made.
+    A k past MAX_WINDOW_K, or entries whose bit length bound
+    k * bitlen(m + k) passes MAX_WINDOW_BITS, is refused before the first
+    entry is made.
     """
     if k < 0 or m < 0:
         raise TravelingError("need k, m >= 0")
     if k > MAX_WINDOW_K:
         raise TravelingError(f"k = {k} exceeds the cap {MAX_WINDOW_K}")
+    bits = k * (m + k).bit_length()
+    if bits > MAX_WINDOW_BITS:
+        raise TravelingError(f"entries of up to {bits} bits (k * bitlen(m + k)) "
+                             f"exceed the cap {MAX_WINDOW_BITS}")
 
     def entry(i, j):
         top = (m - 1 + i) if j == 0 else (m + i - j)

@@ -576,6 +576,26 @@ def test_window_matrix_refused_past_its_cap(capsys, monkeypatch, kind):
         traveling.connectivity_matrix(k + 1, 3)
 
 
+@pytest.mark.parametrize("kind", ["theta", "v-genfun"])
+def test_window_entries_refused_past_their_bits(capsys, monkeypatch, kind):
+    def never(*args):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr(traveling, "theta_charpoly", never)
+    code, out, err = run_cli(capsys, "traveling", kind, "--k", "50", "--m", str(10**30))
+    assert (code, out, err) == (
+        1, "", "error: entries of up to 5000 bits (k * bitlen(m + k)) "
+        f"exceed the cap {traveling.MAX_WINDOW_BITS}\n")
+    monkeypatch.undo()
+    # the cap admits m + k < 2^(cap // k): m = 10^6 still builds at k = 50
+    k = 50
+    top = 2**(traveling.MAX_WINDOW_BITS // k) - k - 1
+    assert top >= 10**6
+    assert len(traveling.connectivity_matrix(k, top)) == k + 1
+    with pytest.raises(traveling.TravelingError, match="exceed the cap"):
+        traveling.connectivity_matrix(k, top + 1)
+
+
 def test_qpow_c_at_the_length_bound(capsys):
     # MAX_EXPONENT_DIGITS characters are read; leading zeros keep c = 1 cheap
     code, out, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3", "--c",

@@ -113,7 +113,7 @@ def test_lazy_fit_matches_closed_fit(q, k, data):
         assume(False)
     reach, todo = {closed.initial}, [closed.initial]
     while todo:
-        for child, _ in closed.transitions[1][todo.pop()]:
+        for child in closed.transitions[1][todo.pop()]:
             if child not in reach:
                 reach.add(child)
                 todo.append(child)

@@ -237,6 +237,46 @@ def test_limits_are_restored_after_their_block():
     assert current_limits() == defaults
 
 
+@pytest.mark.parametrize("ring", [ZZ, F3, F257], ids=repr)
+def test_rows_are_checked_only_when_pairs_outnumber_the_budget(ring):
+    # no product holds more keys than it has pairs, so at pairs <= budget
+    # the gate is the only comparison made against the budget
+    compared = []
+
+    class Budget(int):
+        def __lt__(self, other):
+            compared.append(other)
+            return int.__lt__(self, other)
+
+    one_plus_x = [(0, ring.one), (1, ring.one)]
+    square = {0: 1, 1: 2, 2: 1}
+    assert mpoly._convolve(one_plus_x, one_plus_x, ring, Budget(4)) == square
+    assert compared == [4]
+    # 4 pairs past a budget of 3: each row is checked, 3 keys pass
+    compared.clear()
+    assert mpoly._convolve(one_plus_x, one_plus_x, ring, Budget(3)) == square
+    assert compared == [4, 2, 3]
+    with pytest.raises(BudgetError, match="^term budget 2 exceeded in multiplication$"):
+        mpoly._convolve(one_plus_x, one_plus_x, ring, Budget(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    outer=st.dictionaries(st.integers(0, 6), st.integers(-2, 2), max_size=5),
+    inner=st.dictionaries(st.integers(0, 6), st.integers(-2, 2), max_size=5),
+    budget=st.integers(0, 14),
+)
+def test_convolve_refuses_exactly_the_products_past_the_budget(outer, inner, budget):
+    # keys are never dropped, so a row past the budget means the whole
+    # product is: the error comes on exactly the products with more keys
+    keys = {a + b for a in outer for b in inner}
+    if len(keys) > budget:
+        with pytest.raises(BudgetError):
+            mpoly._convolve(outer.items(), inner.items(), ZZ, budget)
+    else:
+        assert set(mpoly._convolve(outer.items(), inner.items(), ZZ, budget)) == keys
+
+
 def test_only_the_product_kernels_take_a_budget_or_state_cap():
     # every other layer reads the limits in force; the two private kernels
     # get the budget from callers that read it once per product
