@@ -12,17 +12,20 @@ is made when a digit walk first needs it and `close()` makes the rest, so
 counts, q-power counts and fits make only the columns they touch.  The
 children of c*G are c times the children of G, so a column is expanded
 once per (digit, scalar orbit) and scaled for the orbit's other states.
-A column is a dict {child state: multiplicity} in the order its children
-were discovered; only the export (`to_json_dict`) sorts it by child.
+Since f^0 = 1, a digit-0 column is the gamma slices of the state's own
+pattern, made with no product.  A column is a dict {child state:
+multiplicity} in the order its children were discovered; only the export
+(`to_json_dict`) sorts it by child.
 
 Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
-counts and censuses its last vector; repunit counts, the Krylov order and
-q-power sequences the iterates of a repeated digit.  Counts and censuses
-walk each run of equal digits only until a product leaves the vector
-unchanged off the zero pattern, then jump the rest of the run in closed
-form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs get there within a
-few products: the cost is one product per digit outside zero runs, plus
-the few each run takes to reach its fixed point.
+counts and censuses its last vector, which the automaton keeps for the
+last n, so counts of several targets at one n walk once; repunit counts,
+the Krylov order and q-power sequences the iterates of a repeated digit.
+Counts and censuses walk each run of equal digits only until a product
+leaves the vector unchanged off the zero pattern, then jump the rest of
+the run in closed form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs
+get there within a few products: the cost is one product per digit
+outside zero runs, plus the few each run takes to reach its fixed point.
 
 Exponents live on packed int keys in mpoly's layout (`_key_fields`) from
 construction on: the powers of f and the columns come from mpoly's kernel
@@ -56,6 +59,14 @@ class AutomatonError(RuntimeError):
 
 class StateCapError(AutomatonError):
     pass
+
+
+def check_field(field) -> None:
+    """Refuse a coefficient ring that no automaton can be built over."""
+    if not isinstance(field, Field):
+        raise AutomatonError("automaton needs a finite-field polynomial")
+    if field.q > _TABLE_LIMIT:
+        raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
 
 
 def base_digits(n: int, q: int):
@@ -100,10 +111,7 @@ class DigitAutomaton:
 
     def __init__(self, f: MultiPoly, prefix=None):
         field = f.ring
-        if not isinstance(field, Field):
-            raise AutomatonError("automaton needs a finite-field polynomial")
-        if field.q > _TABLE_LIMIT:
-            raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
+        check_field(field)
         if f.is_zero():
             raise AutomatonError("automaton needs a nonzero polynomial")
         q = field.q
@@ -149,6 +157,7 @@ class DigitAutomaton:
             self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
         self._gamma_count = q**k
+        self._last_end = None  # (n, end vector) of the last _end_vector walk
 
         # box point 0 is the exponent vector 0
         self.initial = self._intern(bytes([field.one]) + bytes(len(box) - 1))
@@ -214,14 +223,17 @@ class DigitAutomaton:
         """The nonempty gamma slices of f^a * G, G given by its support.
 
         Returns the slices' patterns as bytearrays in first-seen order; the
-        other q^k - len(slices) slices are zero.
+        other q^k - len(slices) slices are zero.  For a = 0 the product is
+        G itself, so its slices are G's own and no product is made.
         """
         npoints = len(self._box_packed)
         split_get = self._split_cache.get
-        # f^a outer, support inner: acc's key order sets the state numbering
-        acc = _convolve(self._f_pows_packed[a], support, self.field, self._budget)
+        # f^a outer, support inner: acc's key order sets the state numbering,
+        # and 1 * G is G in that order
+        acc = support if a == 0 else _convolve(
+            self._f_pows_packed[a], support, self.field, self._budget).items()
         slices: dict[int, bytearray] = {}
-        for key, v in acc.items():
+        for key, v in acc:
             if v:
                 grank, didx = split_get(key) or self._split(key)
                 arr = slices.get(grank)
@@ -363,7 +375,15 @@ class DigitAutomaton:
         the zero entry and S the sum of the others.  The result equals the
         plain walk's last vector.  The skip waits for a step that interned
         no state, since a new state would change the vector's length.
+
+        The last (n, vector) is kept, so the same n again walks no digit.
+        States a later walk discovers have entry 0 in a kept vector, which
+        `read_counts` reads as such by zipping to the shorter length; a
+        walk that raises keeps nothing.
         """
+        last = self._last_end
+        if last is not None and last[0] == n:
+            return last[1]
         q = self.field.q
         zero_pat = bytes(len(self._box_packed))
         vec = self.start_vector()
@@ -380,6 +400,7 @@ class DigitAutomaton:
                     vec[zero] = q**(self.f.k * (run - taken)) * (vec[zero] + rest) - rest
                     break
                 prev = vec
+        self._last_end = (n, vec)
         return vec
 
     def count(self, n: int, alpha) -> int:
@@ -389,14 +410,16 @@ class DigitAutomaton:
         plus the few products each run takes to reach its fixed point: a
         zero run shrinks every pattern's support by a factor q per step, so
         it is fixed after at most 2 + log_q(largest box bound) products
-        (see _end_vector).
+        (see _end_vector).  The end vector of the last n is kept, so counts
+        of several alpha at one n, or a count after a census, walk once.
         """
         return self.read_counts(alpha, [self._end_vector(n)])[0]
 
     def census(self, n: int):
         """Each nonzero coefficient value of prefix * f^n and its multiplicity.
 
-        One walk for every value, at the cost of count().
+        One walk for every value, at the cost of count(), whose kept end
+        vector it shares: a census and counts at the same n walk once.
         """
         vecs = [self._end_vector(n)]
         census = {a: self.read_counts(a, vecs)[0] for a in range(1, self.field.q)}

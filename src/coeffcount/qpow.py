@@ -19,6 +19,11 @@ recent (g, F_q, c, limits) and every count resumes it: a profile fit
 and the counts read after it share their digit products and columns.  A
 walk of one key always follows the same digits, so counts, state
 numbering and state-cap errors are those of a fresh walk.
+
+A fit is bounded before it starts: a field past the automaton's q, or a
+g of degree past MAX_QPOW_DEGREE, is refused before g is factored, and a
+fit whose walk l + 3d - 1 passes MAX_FIT_DIGITS digits is refused before
+the walk.
 """
 
 from __future__ import annotations
@@ -31,6 +36,18 @@ from . import automaton, unipoly
 from .ffield import Field, is_primitive
 from .mpoly import MultiPoly, current_limits, dense_coeffs, from_dense
 from .ratgen import _Record, _set
+
+
+# Measured on a 2-CPU Xeon under Python 3.11, worst of three random g.
+# Factoring g of degree 64 takes at most 0.6 s over every F_q with
+# q <= 256 (0.03 s over F_2); degree 100 takes 1.2-3.2 s over F_31,
+# F_251 and F_256, and degree 128 up to 3.7 s.
+MAX_QPOW_DEGREE = 64
+# The fit walks m = 0 .. l + 3d - 1 over digit q - 1.  1000 digits take
+# 0.007 s on a 15-state walk, 0.25 s on a 2040-state one and 2.8 s on a
+# 12 285-state one; 3000 digits take 0.026, 0.76 and 10 s.  Every x^D - 1
+# with D <= MAX_QPOW_DEGREE splits in degree d <= D, far below the cap.
+MAX_FIT_DIGITS = 1000
 
 
 class QPowError(ValueError):
@@ -55,8 +72,12 @@ def _as_dense(g, field: Field, check: bool = True):
 
 
 def _degree_and_multiplicity(g, field: Field):
-    """(d, mu) of g from one squarefree decomposition."""
+    """(d, mu) of g from one squarefree decomposition; g of degree past
+    MAX_QPOW_DEGREE is refused before it is factored."""
     g = _as_dense(g, field)
+    if len(g) - 1 > MAX_QPOW_DEGREE:
+        raise QPowError(f"g of degree {len(g) - 1} exceeds the factoring cap "
+                        f"of degree {MAX_QPOW_DEGREE}")
     parts = unipoly.squarefree_decomposition(field, g)
     # the parts are squarefree and coprime: their factors are the radical's
     d = math.lcm(*(e for part, _ in parts
@@ -215,17 +236,25 @@ def fit_qpow_profile(g, field: Field, c: int, alpha) -> QPowProfile:
     and v(r) by a 2x2 linear solve over exact rationals; a third value in
     the class is then verified, so an inconsistent fit cannot escape.  One
     run of the (g, field, c) walk, within the state cap, counts all
-    3d exponents, and counts read after the fit resume that walk.
+    3d exponents, and counts read after the fit resume that walk.  A field
+    the automaton cannot count over and a degree past MAX_QPOW_DEGREE are
+    refused before g is factored, and a walk past MAX_FIT_DIGITS digits
+    before it starts.
     """
     g = _as_dense(g, field)
+    automaton.check_field(field)
     d, mu = _degree_and_multiplicity(g, field)
     # smallest l >= 0 with q^l >= mu*c, i.e. ceil(log_q(mu*c))
     l = 0
     while field.q**l < mu * c:
         l += 1
-    q = field.q
     # the classes' first three admissible m are exactly l .. l + 3d - 1
-    counts = qpow_counts(g, field, c, alpha, l, l + 3 * d - 1)
+    m_hi = l + 3 * d - 1
+    if m_hi > MAX_FIT_DIGITS:
+        raise QPowError(f"the fit would walk {m_hi} digits (splitting degree "
+                        f"d = {d}), past the cap of {MAX_FIT_DIGITS}")
+    q = field.q
+    counts = qpow_counts(g, field, c, alpha, l, m_hi)
     u = [Fraction(0)] * d
     v = [Fraction(0)] * d
     for residue in range(d):

@@ -499,22 +499,147 @@ def test_scaled_columns_equal_their_expansion(q, k, prefixed, data):
 
 def test_one_expansion_per_digit_and_scalar_orbit(monkeypatch):
     # the closure expands a column once per (digit, scalar orbit) pair; the
-    # zero pattern is an orbit of its own
+    # zero pattern is an orbit of its own.  Digit 0 makes no product, so
+    # each orbit takes q - 1 = 2 products
     from coeffcount import automaton
 
     A = DigitAutomaton(parse_poly("1+2*x+2*x^4+2*x^5", 1, F3))
-    calls = []
+    expansions, products = [], []
 
-    def counted(*args):
-        calls.append(None)
-        return convolve(*args)
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(None)
+            return fn(*args)
+        return wrapped
 
-    convolve = automaton._convolve
-    monkeypatch.setattr(automaton, "_convolve", counted)
+    monkeypatch.setattr(automaton, "_convolve", counted(products, automaton._convolve))
+    monkeypatch.setattr(A, "_expand", counted(expansions, A._expand))
     A.close()
     orbits = {min(bytes(F3.mul(c, b) for b in pat) for c in (1, 2)) for pat in A.states}
     assert (A.state_count, len(orbits)) == (243, 122)
-    assert len(calls) == 3 * len(orbits)
+    assert len(expansions) == 3 * len(orbits)
+    assert len(products) == 2 * len(orbits)
+
+
+EXPAND_FIELDS = {2: F2, 3: F3, 4: F4, 5: Field(5)}
+
+
+def _random_poly(data, field, k, max_exp=2):
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * k),
+        min_size=1, max_size=3, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=1, max_value=field.q - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    return MultiPoly(k, field, dict(zip(exps, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(sorted(EXPAND_FIELDS)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_digit_zero_slices_equal_the_product_by_one(q, k, data):
+    # digit 0 slices G itself; the product 1 * G, sliced here by its
+    # unpacked exponents, gives the same slices in the same order
+    field = EXPAND_FIELDS[q]
+    A = DigitAutomaton(_random_poly(data, field, k))
+    points = len(A._box_packed)
+    G = bytearray(points)
+    for point, c in data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=points - 1),
+            st.integers(min_value=1, max_value=q - 1), max_size=12)).items():
+        G[point] = c
+    support = A._support(bytes(G))
+    product = automaton._convolve([(0, field.one)], support, field, 10**7)
+    want: dict[tuple, bytearray] = {}
+    for key, c in product.items():
+        exps = A._layout.unpack(key.to_bytes(A._layout.size, "little"))
+        point = 0
+        for e, b in zip(exps, A._bounds):
+            point = point * (b + 1) + e // q
+        want.setdefault(tuple(e % q for e in exps), bytearray(points))[point] = c
+    assert [bytes(x) for x in A._expand(support, 0)] == [bytes(x) for x in want.values()]
+
+
+def _counting_steps(A):
+    """A list that grows by one entry per apply_digit call of A."""
+    steps = []
+    apply_digit = A.apply_digit
+
+    def counted(digit, vec):
+        steps.append(digit)
+        return apply_digit(digit, vec)
+
+    A.apply_digit = counted
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([3, 4, 5]),
+    k=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_counts_of_every_alpha_make_one_walk(q, k, data):
+    # the q - 1 counts at one n, and the census after them, read the end
+    # vector of the first count's walk
+    field = EXPAND_FIELDS[q]
+    f = _random_poly(data, field, k)
+    n = data.draw(st.integers(min_value=0, max_value=30))
+    A = DigitAutomaton(f)
+    steps = _counting_steps(A)
+    try:
+        with limits(states=UNCLOSED_STATE_CAP):
+            counts = [A.count(n, 1)]
+    except StateCapError:
+        assume(False)
+    walked = len(steps)
+    assert walked <= len(base_digits(n, q))
+    counts += [A.count(n, a) for a in range(2, q)]
+    census = A.census(n)
+    assert len(steps) == walked
+    assert census == {a: c for a, c in enumerate(counts, 1) if c}
+    assert counts == [DigitAutomaton(f).count(n, a) for a in range(1, q)]
+    assert census == brute_power_census(f, n)
+
+
+def test_a_kept_end_vector_survives_states_found_later():
+    # the walk to n2 discovers states after n1's end vector was kept; n1's
+    # counts read that shorter vector, with no new walk, and do not change
+    f = parse_poly("1+2*x+2*x^4+2*x^5", 1, F3)
+    n1, n2 = 4, 3**6 - 1
+    A = DigitAutomaton(f)
+    steps = _counting_steps(A)
+    before = [A.count(n1, a) for a in (1, 2)]
+    found, walked = A.state_count, len(steps)
+    for _ in A.walk(base_digits(n2, 3)):
+        pass
+    assert A.state_count > found
+    walked = len(steps)
+    assert [A.count(n1, a) for a in (1, 2)] == before
+    assert A.census(n1) == {a: c for a, c in enumerate(before, 1) if c}
+    assert len(steps) == walked
+    closed = build_automaton(f)
+    assert before == [closed.count(n1, a) for a in (1, 2)]
+    assert A.census(n1) == brute_power_census(f, n1)
+
+
+def test_digit_zero_makes_no_product_under_the_term_budget():
+    # a prefix of 12 terms under a budget of 5: digit 0 slices it with no
+    # product, which the budget used to refuse; digit 1 still multiplies
+    # and is refused
+    from coeffcount.mpoly import BudgetError
+
+    f = parse_poly("1+x", 1, F2)
+    prefix = parse_poly("+".join(f"x^{e}" for e in range(12)), 1, F2)
+    with limits(terms=5):
+        A = DigitAutomaton(f, prefix)
+    plain = DigitAutomaton(f, prefix)
+    assert (A.read_counts(1, [A.apply_digit(0, A.start_vector())])
+            == plain.read_counts(1, [plain.apply_digit(0, plain.start_vector())]) == [12])
+    with pytest.raises(BudgetError, match="term budget 5"):
+        A.apply_digit(1, A.start_vector())
 
 
 def test_discovery_order_and_state_cap_unchanged():

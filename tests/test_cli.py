@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,15 @@ def test_every_path_keeps_the_term_budget(capsys, argv, budget):
     code, out, err = run_cli(capsys, "--budget-terms", str(budget), *argv.split())
     assert (code, out) == (1, "")
     assert err == f"error: term budget {budget} exceeded in multiplication\n"
+
+
+def test_automaton_prefix_past_the_budget_is_refused_by_its_digit_one_product(capsys):
+    # digit 0 slices a prefix with no product; the closure's digit-1
+    # product of the 12-term prefix still passes a budget of 5
+    prefix = "+".join(f"x^{e}" for e in range(12))
+    code, out, err = run_cli(capsys, "--budget-terms", "5", "automaton", "--field", "2",
+                             "--poly", "1+x", "--prefix", prefix, "--n", "3")
+    assert (code, out, err) == (1, "", "error: term budget 5 exceeded in multiplication\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +354,57 @@ def test_qpow_honours_state_cap(capsys):
     code, out, err = run_cli(capsys, "--state-cap", "5", "qpow", "--field", "2",
                              "--g", "1+x^2+x^5")
     assert (code, out) == (1, "") and "state cap 5 exceeded" in err
+
+
+def _random_f2_poly(degree, seed):
+    """The text of a random g over F_2 of the given degree with g(0) = 1."""
+    rng = random.Random(seed)
+    coeffs = [1] + [rng.randrange(2) for _ in range(degree - 1)] + [1]
+    return "+".join("1" if e == 0 else f"x^{e}" for e, c in enumerate(coeffs) if c)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a random degree-200 g splits in degree d = 426 972; its fit ran for
+    # minutes in the factoring and the walk
+    (["--field", "2", "--g", _random_f2_poly(200, 1)],
+     "g of degree 200 exceeds the factoring cap of degree 64"),
+    (["--field", "2", "--g", "1+x^65"],
+     "g of degree 65 exceeds the factoring cap of degree 64"),
+    # no automaton counts over F_257, so factoring g would be wasted
+    (["--field", "257", "--g", "1+x+x^3"], "automaton supports q <= 256"),
+])
+def test_qpow_refuses_before_it_factors(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("g was factored")
+
+    monkeypatch.setattr(cli.qpow.unipoly, "squarefree_decomposition", never)
+    assert run_cli(capsys, "qpow", *argv) == (1, "", f"error: {message}\n")
+
+
+def test_qpow_refuses_a_long_walk_before_it_starts(capsys, monkeypatch):
+    # the fit of this random degree-50 g used to walk until the state cap stopped it
+    def never(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(cli.qpow, "_Walk", never)
+    code, out, err = run_cli(capsys, "qpow", "--field", "2", "--g", _random_f2_poly(50, 1))
+    assert (code, out) == (1, "")
+    assert err == ("error: the fit would walk 8693 digits (splitting degree d = 2898), "
+                   "past the cap of 1000\n")
+
+
+def test_qpow_caps_admit_their_bounds(capsys, monkeypatch):
+    # degree 64 is factored; 1 + x + x^3 walks m = 0 .. 8, so a cap of 8
+    # digits admits it and a cap of 7 refuses it
+    code, out, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x^64")
+    assert code == 0 and json.loads(out)["d"] == 1
+    monkeypatch.setattr(cli.qpow, "MAX_FIT_DIGITS", 8)
+    code, out, _ = run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3")
+    assert code == 0 and json.loads(out)["d"] == 3
+    monkeypatch.setattr(cli.qpow, "MAX_FIT_DIGITS", 7)
+    assert run_cli(capsys, "qpow", "--field", "2", "--g", "1+x+x^3") == (
+        1, "", "error: the fit would walk 8 digits (splitting degree d = 3), "
+        "past the cap of 7\n")
 
 
 def test_oracle_state_cap_bounds_only_the_states_its_count_reaches(capsys):

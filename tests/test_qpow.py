@@ -69,6 +69,19 @@ def test_preconditions():
         count_qpow(g("1+x"), F2, 1, 0, 3)  # alpha = 0
 
 
+def test_degree_past_the_cap_is_refused_before_factoring(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("g was factored")
+
+    monkeypatch.setattr(unipoly, "squarefree_decomposition", never)
+    big = g("1+x+x^" + str(qpow.MAX_QPOW_DEGREE + 1))
+    for measure in (splitting_degree, max_multiplicity):
+        with pytest.raises(QPowError, match="factoring cap"):
+            measure(big, F2)
+    with pytest.raises(QPowError, match="factoring cap"):
+        fit_qpow_profile(big, F2, 1, 1)
+
+
 def test_count_examples():
     assert count_qpow(g("1+x+x^2+x^3+x^4"), F2, 1, 1, 1) == 5
     assert count_qpow(g("1+x+x^2"), F2, 1, 1, 0) == 1
