@@ -17,15 +17,15 @@ pattern, made with no product.  A column is a dict {child state:
 multiplicity} in the order its children were discovered; only the export
 (`to_json_dict`) sorts it by child.
 
-Every evaluation reads the vectors of one digit walk (`DigitAutomaton.walk`):
-counts and censuses its last vector, which the automaton keeps for the
-last n, so counts of several targets at one n walk once; repunit counts,
-the Krylov order and q-power sequences the iterates of a repeated digit.
-Counts and censuses walk each run of equal digits only until a product
-leaves the vector unchanged off the zero pattern, then jump the rest of
-the run in closed form.  By Frobenius, f^(qn) = f^n(x^q), so zero runs
-get there within a few products: the cost is one product per digit
-outside zero runs, plus the few each run takes to reach its fixed point.
+Every evaluation reads the vectors of a digit walk.  Counts and censuses
+read n's end vector from the automaton's one kept walk, which resumes
+when n extends the last n's digits (`DigitAutomaton.end_vector`), so
+counts at one n walk once and q^(m+1) - c costs one product after
+q^m - c; repunit counts and the Krylov order read the iterates of a
+repeated digit (`walk`).  A run of zero digits is walked only until a
+product leaves the vector unchanged off the zero pattern, then jumped in
+closed form.  By Frobenius, f^(qn) = f^n(x^q), so that takes a few
+products: the cost is about one product per digit outside zero runs.
 
 Exponents live on packed int keys in mpoly's layout (`_key_fields`) from
 construction on: the powers of f and the columns come from mpoly's kernel
@@ -157,7 +157,8 @@ class DigitAutomaton:
             self._f_pows_packed.append(sorted((key, c) for key, c in acc.items() if c))
         self._split_cache: dict[int, tuple[int, int]] = {}
         self._gamma_count = q**k
-        self._last_end = None  # (n, end vector) of the last _end_vector walk
+        # (n, digits walked, vector) of the last end_vector walk; n = -1 before one
+        self._last_end = (-1, 0, None)
 
         # box point 0 is the exponent vector 0
         self.initial = self._intern(bytes([field.one]) + bytes(len(box) - 1))
@@ -365,42 +366,40 @@ class DigitAutomaton:
             vec = self.apply_digit(digit, vec)
             yield vec
 
-    def _end_vector(self, n: int):
-        """The state vector after the digits of n, jumping fixed runs.
+    def end_vector(self, n: int):
+        """The state vector after the base-q digits of n.
 
-        The zero pattern's column is {zero: q^k} for every digit, so once a
-        step of a run leaves the vector unchanged off the zero state, every
-        later step of the run does too, and the zero entry follows from the
-        column sums: after j more steps it is q^(k j) (z + S) - S, with z
-        the zero entry and S the sum of the others.  The result equals the
-        plain walk's last vector.  The skip waits for a step that interned
-        no state, since a new state would change the vector's length.
-
-        The last (n, vector) is kept, so the same n again walks no digit.
-        States a later walk discovers have entry 0 in a kept vector, which
-        `read_counts` reads as such by zipping to the shorter length; a
-        walk that raises keeps nothing.
+        The last (n, digits walked w, vector) is kept and resumed when n's
+        low w digits are the kept n's: the same n walks no digit, and
+        q^(m+1) - c = (q^m - c) + (q-1) q^m walks one after q^m - c.  Any
+        other n walks from the start vector.  States found later have
+        entry 0 in a kept vector, as `read_counts` reads it; a walk that
+        raises keeps the previous one.  Once a product inside a run of
+        zero digits leaves the vector unchanged off the zero state (whose
+        column is {zero: q^k}), so does the rest of the run: after j more
+        steps the zero entry is q^(k j) (z + S) - S, z that entry and S
+        the others' sum.  The jump waits for a step that interned no state.
         """
-        last = self._last_end
-        if last is not None and last[0] == n:
-            return last[1]
         q = self.field.q
-        zero_pat = bytes(len(self._box_packed))
-        vec = self.start_vector()
-        for digit, group in itertools.groupby(base_digits(n, q)):
-            run = sum(1 for _ in group)
-            steps = self.walk(itertools.repeat(digit, run), vec)
-            prev = next(steps)
-            for taken, vec in enumerate(steps, 1):
-                zero = self._state_index.get(zero_pat)
-                if (taken < run and zero is not None and len(vec) == len(prev)
-                        and vec[:zero] == prev[:zero]
-                        and vec[zero + 1:] == prev[zero + 1:]):
-                    rest = sum(vec) - vec[zero]
-                    vec[zero] = q**(self.f.k * (run - taken)) * (vec[zero] + rest) - rest
-                    break
-                prev = vec
-        self._last_end = (n, vec)
+        kept, walked, vec = self._last_end
+        rest, low = divmod(n, q**walked)
+        if low != kept:
+            rest, walked, vec = n, 0, self.start_vector()
+        digits = base_digits(rest, q)
+        i, size = 0, len(digits)
+        while i < size:
+            digit = digits[i]
+            prev, vec = vec, self.apply_digit(digit, vec)
+            i += 1
+            zero = self._zero_state
+            if (not digit and i < size and not digits[i] and zero is not None
+                    and len(vec) == len(prev) and vec[:zero] == prev[:zero]
+                    and vec[zero + 1:] == prev[zero + 1:]):
+                run_end = next(j for j in range(i, size) if digits[j])
+                others = sum(vec) - vec[zero]
+                vec[zero] = q**(self.f.k * (run_end - i)) * (vec[zero] + others) - others
+                i = run_end
+        self._last_end = (n, walked + size, vec)
         return vec
 
     def count(self, n: int, alpha) -> int:
@@ -410,18 +409,18 @@ class DigitAutomaton:
         plus the few products each run takes to reach its fixed point: a
         zero run shrinks every pattern's support by a factor q per step, so
         it is fixed after at most 2 + log_q(largest box bound) products
-        (see _end_vector).  The end vector of the last n is kept, so counts
-        of several alpha at one n, or a count after a census, walk once.
+        (see end_vector).  It resumes the kept walk, so counts of several
+        alpha at one n, or a count after a census, walk once.
         """
-        return self.read_counts(alpha, [self._end_vector(n)])[0]
+        return self.read_counts(alpha, [self.end_vector(n)])[0]
 
     def census(self, n: int):
         """Each nonzero coefficient value of prefix * f^n and its multiplicity.
 
-        One walk for every value, at the cost of count(), whose kept end
-        vector it shares: a census and counts at the same n walk once.
+        One walk for every value, at the cost of count(), whose kept walk
+        (end_vector) it shares: a census and counts at the same n walk once.
         """
-        vecs = [self._end_vector(n)]
+        vecs = [self.end_vector(n)]
         census = {a: self.read_counts(a, vecs)[0] for a in range(1, self.field.q)}
         return {a: count for a, count in census.items() if count}
 

@@ -138,7 +138,8 @@ def draconian_sequences(n: int):
 
 def draconian_count(n: int) -> int:
     """len(draconian_sequences(n)), which is Catalan(n), without listing the
-    sequences; refuses the same n."""
+    sequences.  It answers up to DEFAULT_ENUM_CAP (15), while the listing is
+    stopped from n = 14 on by the polytope walk's MAX_WALK_VISITS."""
     _check_enumerable(n)
     return catalan(n)
 

@@ -11,14 +11,15 @@ digits of the exponent, whose columns are made only where the walk
 needs them), and solves for the periodic tables u, v over exact
 rationals.
 
-For every admissible m, the base-q digits of q^m - c are the l0 low
-digits of q^l0 - c (l0 the smallest with q^l0 >= c, zero-padded) followed
-by the digit q-1 repeated, so all the exponents of one (g, F_q, c) lie on
-one walk of g's automaton.  The module keeps that walk for the most
-recent (g, F_q, c, limits) and every count resumes it: a profile fit
-and the counts read after it share their digit products and columns.  A
-walk of one key always follows the same digits, so counts, state
-numbering and state-cap errors are those of a fresh walk.
+Since q^(m+1) - c = (q^m - c) + (q-1) q^m, the base-q digits of
+q^(m+1) - c are those of q^m - c, zero-padded to m digits, followed by
+q-1, so all the exponents of one (g, F_q, c) lie on one digit walk of
+g's automaton.  The automaton keeps its last walk and resumes it
+(`DigitAutomaton.end_vector`), and the module keeps the automaton of the
+most recent (g, F_q, c, limits): a profile fit and the counts read after
+it share their digit products and columns.  A walk of one key always
+follows the same digits, so counts, state numbering and state-cap errors
+are those of a fresh automaton.
 
 A fit is bounded before it starts: a field past the automaton's q, or a
 g of degree past MAX_QPOW_DEGREE, is refused before g is factored, and a
@@ -28,7 +29,6 @@ the walk.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -119,61 +119,25 @@ def _alpha_val(field: Field, alpha) -> int:
     return val
 
 
-class _Walk:
-    """The one digit walk of g's automaton through every q^m - c.
-
-    prefix holds the l0 low digits of q^l0 - c; digit q-1 follows forever.
-    (m, vec) is the last point reached: the vector after m digits.
-    """
-
-    __slots__ = ("automaton", "prefix", "m", "vec")
-
-    def __init__(self, g, field: Field, c: int):
-        q = field.q
-        l0 = 0
-        while q**l0 < c:
-            l0 += 1
-        low = automaton.base_digits(q**l0 - c, q)
-        self.prefix = low + [0] * (l0 - len(low))
-        self.automaton = automaton.DigitAutomaton(from_dense(g, field))
-        self.m = 0
-        self.vec = self.automaton.start_vector()
-
-    def iterates(self, m_lo: int, m_hi: int):
-        """The vectors after m_lo .. m_hi digits, for l0 <= m_lo <= m_hi.
-
-        Resumes from the last point when m_lo is not behind it; otherwise
-        walks again from the start, over the columns already made.
-        """
-        if m_lo < self.m:
-            self.m, self.vec = 0, self.automaton.start_vector()
-        digits = itertools.chain(self.prefix[self.m:],
-                                 itertools.repeat(self.automaton.field.q - 1))
-        steps = self.automaton.walk(itertools.islice(digits, m_hi - self.m), self.vec)
-        iterates = list(itertools.islice(steps, m_lo - self.m, None))
-        self.m, self.vec = m_hi, iterates[-1]
-        return iterates
-
-
-# The walk of the most recent (g, F, c, limits), at most one.  A call takes
-# it out and puts it back only after a success, so a failed walk is dropped
-# and no two threads ever walk the same one.
-_last_walk: dict = {}
+# The automaton of the most recent (g, F, c, limits), at most one.  A call
+# takes it out and puts it back only after a success, so an automaton whose
+# walk failed is dropped and no two threads ever walk the same one.
+_last_automaton: dict = {}
 
 
 def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
     """Exact N_alpha(m) for m = m_lo .. m_hi (empty when m_hi < m_lo).
 
-    q^m - c = (q^l0 - c) + (q-1)(q^l0 + ... + q^(m-1)) for l0 the smallest
-    with q^l0 >= c: one walk over the digits of q^l0 - c, zero-padded to l0
-    digits, then q-1 repeated.  The walk of the most recent (g, field, c,
-    limits) is kept between calls: a call with m_lo at or past its last
-    point resumes it, an earlier m_lo walks again from the start over the
-    columns already made.  Either way the walk may discover at most the
-    state cap of automaton states, counted from its start, and StateCapError
-    is raised exactly when a fresh walk to m_hi would raise it; the failed
-    walk is not kept.  alpha is read only from the vectors, so every alpha
-    shares the walk.
+    q^(m+1) - c = (q^m - c) + (q-1) q^m, so each count resumes the kept
+    walk of the one before it (`DigitAutomaton.end_vector`) at the cost of
+    one digit product.  The automaton of the most recent (g, field, c,
+    limits) is kept between calls: a call whose first exponent extends its
+    last walk resumes it, any other walks again from the start over the
+    columns already made.  Either way the automaton may discover at most
+    the state cap of states, and StateCapError is raised exactly when a
+    fresh automaton's walks to m_lo .. m_hi would raise it; the automaton
+    of a failed call is not kept.  alpha is read only from the vectors, so
+    every alpha shares the walk.
     """
     g = _as_dense(g, field)
     _exponent(field, c, m_lo)
@@ -181,12 +145,13 @@ def qpow_counts(g, field: Field, c: int, alpha, m_lo: int, m_hi: int):
     if m_hi < m_lo:
         return []
     key = (tuple(g), field, c, current_limits())
-    walk = _last_walk.pop(key, None)
-    if walk is None:
-        walk = _Walk(g, field, c)
-    counts = walk.automaton.read_counts(alpha_val, walk.iterates(m_lo, m_hi))
-    _last_walk.clear()
-    _last_walk[key] = walk
+    A = _last_automaton.pop(key, None)
+    if A is None:
+        A = automaton.DigitAutomaton(from_dense(g, field))
+    q = field.q
+    counts = A.read_counts(alpha_val, [A.end_vector(q**m - c) for m in range(m_lo, m_hi + 1)])
+    _last_automaton.clear()
+    _last_automaton[key] = A
     return counts
 
 

@@ -31,10 +31,11 @@ class TravelingError(ValueError):
     pass
 
 
-# most terms `traveling_seq` and `h_seq` expand, checked before the first:
-# the terms' bit lengths grow linearly, so the work and the printed digits
-# grow as terms^2 (`traveling seq` prints 10 000 terms, 21 MB, in about 1 s
-# with Python 3.11 on a shared 2-CPU machine)
+# most terms `traveling_seq`, `h_seq` and `window_power_counts` expand,
+# checked before the first: the terms' bit lengths grow linearly, so the
+# work and the printed digits grow as terms^2 (`traveling seq` prints
+# 10 000 terms, 21 MB, in about 1 s with Python 3.11 on a shared 2-CPU
+# machine)
 MAX_SEQ_TERMS = 10_000
 
 
@@ -286,6 +287,7 @@ def window_power_poly(n: int, k: int, m: int) -> MultiPoly:
 
 
 def window_power_counts(k: int, m: int, terms: int):
+    _check_terms(terms)
     return window_power_genfun(k, m).expand(terms)
 
 

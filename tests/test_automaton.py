@@ -290,7 +290,7 @@ def test_run_jumps_match_the_plain_walk(q, k, data):
     digits = base_digits(n, q)
 
     *_, plain = closed.walk(digits)
-    assert closed._end_vector(n) == plain
+    assert closed.end_vector(n) == plain
 
     # on unclosed automata the jump makes the same states as a plain walk
     lazy, walked = DigitAutomaton(f, prefix=prefix), DigitAutomaton(f, prefix=prefix)
@@ -623,6 +623,85 @@ def test_a_kept_end_vector_survives_states_found_later():
     closed = build_automaton(f)
     assert before == [closed.count(n1, a) for a in (1, 2)]
     assert A.census(n1) == brute_power_census(f, n1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from(sorted(UNCLOSED_FIELDS)),
+    k=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_the_kept_walk_resumes_to_fresh_counts(q, k, data):
+    # repeats, extensions of the kept n's low digits, smaller n and long
+    # runs: each census read from the kept walk is a fresh automaton's, and
+    # the oracle's for small n; censuses, since numbering differs by automaton
+    field = UNCLOSED_FIELDS[q]
+    f = _random_poly(data, field, k)
+    prefix = None
+    if data.draw(st.booleans()):
+        prefix = _random_poly(data, field, k)
+    A = DigitAutomaton(f, prefix)
+    n = 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        kind = data.draw(st.sampled_from(["repeat", "extend", "smaller", "zeros", "run"]))
+        block = data.draw(st.integers(min_value=1, max_value=q**2 - 1))
+        length = data.draw(st.integers(min_value=0, max_value=30))
+        if kind == "extend":
+            n += block * q**(len(base_digits(n, q)) + data.draw(st.integers(0, 3)))
+        elif kind == "smaller":
+            n = data.draw(st.integers(min_value=0, max_value=n))
+        elif kind == "zeros":
+            n = block + block * q**(2 + length)
+        elif kind == "run":
+            n = block * (q**length - 1) // (q - 1)
+        try:
+            with limits(states=UNCLOSED_STATE_CAP):
+                fresh = DigitAutomaton(f, prefix).census(n)
+                census = A.census(n)
+        except StateCapError:
+            assume(False)
+        assert census == fresh
+        if n <= 60:
+            brute = (brute_power_census(f, n) if prefix is None
+                     else brute_power_census(prefix * f.pow(n), 1))
+            assert census == brute
+
+
+@pytest.mark.parametrize("text, field, c", [
+    ("1+x+x^3", F2, 1), ("1+x+x^3", F2, 7), ("2+x+x^2", F3, 5), ("2+x+x^2", F3, 8),
+    ("1+x1+x2^2", F4, 3), ("1+2*x+3*x^3", Field(5), 1),
+])
+def test_each_further_q_power_costs_one_digit_product(text, field, c):
+    # q^(m+1) - c = (q^m - c) + (q-1) q^m; q^l0 - c, for l0 the smallest
+    # with q^l0 >= c, may have fewer than l0 digits, and the next q-power
+    # walks its padding zeros too
+    q = field.q
+    A = DigitAutomaton(parse_poly(text, 2 if "x1" in text else 1, field))
+    steps = _counting_steps(A)
+    l0 = next(m for m in itertools.count() if q**m >= c)
+    A.end_vector(q**l0 - c)
+    for m in range(l0 + 1, l0 + 6):
+        before = len(steps)
+        A.end_vector(q**m - c)
+        short = l0 - len(base_digits(q**l0 - c, q)) if m == l0 + 1 else 0
+        assert len(steps) - before == 1 + short
+
+
+def test_a_walk_past_the_state_cap_keeps_the_previous_walk():
+    # over F_5 the walk of 1+2x+3x^3 discovers 31 states to 5^2 - 1 and
+    # 124 to 5^3 - 1
+    F5 = Field(5)
+    f = parse_poly("1+2*x+3*x^3", 1, F5)
+    with limits(states=123):
+        A = DigitAutomaton(f)
+    steps = _counting_steps(A)
+    assert A.count(24, 1) == 11
+    with pytest.raises(StateCapError):
+        A.end_vector(124)
+    walked = len(steps)
+    assert A.census(24) == brute_power_census(f, 24)
+    assert A.count(24, 1) == 11
+    assert len(steps) == walked
 
 
 def test_digit_zero_makes_no_product_under_the_term_budget():

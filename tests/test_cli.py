@@ -386,7 +386,7 @@ def test_qpow_refuses_a_long_walk_before_it_starts(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(cli.qpow, "_Walk", never)
+    monkeypatch.setattr(cli.qpow.automaton, "DigitAutomaton", never)
     code, out, err = run_cli(capsys, "qpow", "--field", "2", "--g", _random_f2_poly(50, 1))
     assert (code, out) == (1, "")
     assert err == ("error: the fit would walk 8693 digits (splitting degree d = 2898), "

@@ -16,6 +16,7 @@ from coeffcount.lattice import (
     ascending_product_poly,
     catalan_inversion,
     distinct_monomial_count,
+    draconian_count,
     draconian_sequences,
     fuss_catalan,
     fuss_product_poly,
@@ -59,6 +60,17 @@ def test_draconian():
             if sum(k) == n and all(sum(k[:i]) <= i for i in range(1, n + 1))]
     with pytest.raises(LatticeError):
         draconian_sequences(20)
+
+
+def test_draconian_count_answers_past_the_listing():
+    # the listing is stopped by the polytope walk's visit cap from n = 14,
+    # the count only by the enumeration cap past n = 15
+    assert len(draconian_sequences(13)) == 742_900
+    with pytest.raises(LatticeError, match=f"exceeds {lattice.MAX_WALK_VISITS} visits"):
+        draconian_sequences(14)
+    assert [draconian_count(n) for n in (14, 15)] == [2_674_440, 9_694_845]
+    with pytest.raises(LatticeError, match="n = 16 exceeds the enumeration cap 15"):
+        draconian_count(16)
 
 
 def test_distinct_monomial_count():

@@ -176,7 +176,7 @@ def test_shared_walk_keeps_the_cap_of_a_fresh_walk():
     F5 = Field(5)
     g5 = [1, 2, 0, 3]
     want = [5, 11, 76, 380, 1886, 9451]
-    qpow._last_walk.clear()
+    qpow._last_automaton.clear()
     with limits(states=124):
         assert qpow_counts(g5, F5, 1, 1, 1, 6) == want
         # a shorter walk under the same cap reads the columns already made
@@ -186,10 +186,10 @@ def test_shared_walk_keeps_the_cap_of_a_fresh_walk():
     # the walk it grew is not kept
     with limits(states=123):
         assert qpow_counts(g5, F5, 1, 1, 1, 2) == want[:2]
-        assert len(qpow._last_walk) == 1
+        assert len(qpow._last_automaton) == 1
         with pytest.raises(StateCapError):
             qpow_counts(g5, F5, 1, 1, 3, 4)
-    assert qpow._last_walk == {}
+    assert qpow._last_automaton == {}
     with limits(states=124):
         assert qpow_counts(g5, F5, 1, 1, 2, 6) == want[1:]
 

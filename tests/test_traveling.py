@@ -6,12 +6,14 @@ from math import comb
 
 import pytest
 
+from coeffcount import traveling
 from coeffcount.cli import main
 from coeffcount.combinat import fibonacci, narayana
 from coeffcount.ffield import Field
 from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.ratgen import RationalGF, genfun_equal_as_series
 from coeffcount.traveling import (
+    MAX_SEQ_TERMS,
     TravelingError,
     charpoly,
     connectivity_matrix,
@@ -156,6 +158,18 @@ def test_connectivity_matrix_and_charpoly():
     # a matrix whose characteristic polynomial is not integral is refused
     with pytest.raises(TravelingError, match="non-integer characteristic coefficient"):
         charpoly([[Fraction(1, 2)]])
+
+
+def test_window_power_counts_refused_past_the_term_cap(monkeypatch):
+    # like traveling_seq and h_seq, refused before the series is built
+    def never(*args):
+        raise AssertionError("the refusal came too late")
+
+    monkeypatch.setattr(traveling, "window_power_genfun", never)
+    with pytest.raises(TravelingError, match=f"{10**8} terms exceed the cap {MAX_SEQ_TERMS}"):
+        window_power_counts(2, 1, 10**8)
+    monkeypatch.undo()
+    assert len(window_power_counts(2, 1, MAX_SEQ_TERMS)) == MAX_SEQ_TERMS
 
 
 def test_window_power_genfuns():
