@@ -353,14 +353,10 @@ class DigitAutomaton:
                     out[child] += mult * x
         return out
 
-    def walk(self, digits, vec=None):
-        """Yield the state vector before the first digit and after each digit.
-
-        Digits come least significant first; the walk starts from vec, or
-        from the start vector when vec is None.
-        """
-        if vec is None:
-            vec = self.start_vector()
+    def walk(self, digits):
+        """Yield the start vector, then the state vector after each digit,
+        digits least significant first."""
+        vec = self.start_vector()
         yield vec
         for digit in digits:
             vec = self.apply_digit(digit, vec)
