@@ -32,9 +32,9 @@ from functools import lru_cache, wraps
 from math import comb, factorial
 
 from . import closed_forms, lattice, qpow, traveling, unipoly
-from .automaton import base_digits, build_automaton
+from .automaton import build_automaton
 from .combinat import catalan, fibonacci, narayana, partitions
-from .ffield import Field
+from .ffield import Field, base_digits
 from .mpoly import ZZ, MultiPoly, current_limits, dense_coeffs, linear_product, parse_poly
 from .oracle import power_census_series
 from .ratgen import RationalGF, fit_repunit_genfun, genfun_equal_as_series
@@ -114,6 +114,12 @@ def corpus_ladder(name: str, n_max: int = 64):
 @_per_limits
 def corpus_fit(name: str):
     return fit_repunit_genfun(corpus_automaton(name), 1)
+
+
+def _clause(label, bad, ok="ok"):
+    """The clause label: passing, with detail ok, when its list of failing
+    cases bad is empty, and otherwise failing, with bad's first four."""
+    return (label, not bad, f"failed at {bad[:4]}" if bad else ok)
 
 
 # -- criterion 1: automaton vs oracle ------------------------------------------
@@ -233,8 +239,8 @@ def check_c3():
     for name, form in C3_CLOSED.items():
         seq, rec, gf = corpus_fit(name)
         bad = [n for n in range(len(seq)) if seq[n] != form(n)]
-        out.append((f"repunit counts of {name} match the closed form",
-                    not bad, f"failed at {bad[:4]}" if bad else f"{len(seq)} terms"))
+        out.append(_clause(f"repunit counts of {name} match the closed form",
+                           bad, f"{len(seq)} terms"))
     return out
 
 
@@ -370,8 +376,7 @@ def check_c4():
         got = qpow.primitive_u_check(dense_coeffs(parse_poly(text, 1, field)), field)
         if got != expect:
             bad.append((text, got))
-    out.append(("primitive polynomials give u = d q^(d-1)/(q^d - 1)",
-                not bad, str(bad) if bad else "ok"))
+    out.append(_clause("primitive polynomials give u = d q^(d-1)/(q^d - 1)", bad))
     return out
 
 
@@ -387,8 +392,7 @@ def check_c5():
     ladder = power_census_series(tri, 512)
     bad = [n for n in range(513)
            if ladder[n].get(1, 0) != closed_forms.trinomial_odd_count(n)]
-    out.append(("trinomial odd counts match the oracle for n <= 512",
-                not bad, f"failed at {bad[:4]}" if bad else "ok"))
+    out.append(_clause("trinomial odd counts match the oracle for n <= 512", bad))
     for p in (2, 3, 5):
         field = Field(p)
         f = parse_poly("+".join(f"x^{i}" for i in range(p)).replace("x^0", "1"),
@@ -396,15 +400,14 @@ def check_c5():
         lad = power_census_series(f, 60)
         bad = [n for n in range(61)
                if sum(lad[n].values()) != closed_forms.all_ones_power_count(n, p)]
-        out.append((f"all-ones power counts match the oracle (p = {p}, n <= 60)",
-                    not bad, f"failed at {bad[:4]}" if bad else "ok"))
+        out.append(_clause(f"all-ones power counts match the oracle (p = {p}, n <= 60)",
+                           bad))
     bad = []
     for n in range(13):
         lhs, rhs = closed_forms.averaging_identity_sides(n)
         if lhs != rhs:
             bad.append(n)
-    out.append(("run-product averages equal 2^n F(n+2) for n <= 12",
-                not bad, str(bad) if bad else "ok"))
+    out.append(_clause("run-product averages equal 2^n F(n+2) for n <= 12", bad))
     out.append(_doubling_clause())
     return out
 
@@ -442,8 +445,7 @@ def check_c6():
         for n in range(9):
             if traveling.h_poly(p, n).num_terms != series[n]:
                 bad.append(n)
-        out.append((f"chain-product series = oracle (p = {p}, n <= 8)",
-                    not bad, str(bad) if bad else "ok"))
+        out.append(_clause(f"chain-product series = oracle (p = {p}, n <= 8)", bad))
     for p in (2, 3, 5):
         one_minus_zp = unipoly.sub(ZZ, [1], [0] * p + [1])
         printed = RationalGF.make(
@@ -467,8 +469,7 @@ def check_c7():
     out = []
     bad = [n for n in range(13)
            if len(lattice.draconian_sequences(n)) != catalan(n)]
-    out.append(("ballot-sequence counts equal Catalan numbers (n <= 12)",
-                not bad, str(bad) if bad else "ok"))
+    out.append(_clause("ballot-sequence counts equal Catalan numbers (n <= 12)", bad))
 
     bad = []
     for n in range(1, 7):
@@ -477,16 +478,16 @@ def check_c7():
             poly = lattice.nested_sum_product(parts)
             if lattice.distinct_monomial_count(parts) != poly.num_terms:
                 bad.append(parts)
-    out.append(("nested-sum monomial counts match expansion (n <= 6, parts <= 6)",
-                not bad, f"failed at {bad[:3]}" if bad else "ok"))
+    out.append(_clause("nested-sum monomial counts match expansion (n <= 6, parts <= 6)",
+                       bad))
 
     bad = []
     for n in range(1, 6):
         for ts in itertools.product(range(4), repeat=n):
             if lattice.ps_points_direct(ts) != lattice.ps_points_formula(ts):
                 bad.append(ts)
-    out.append(("polytope points: direct enumeration = ballot formula "
-                "(n <= 5, t_i <= 3)", not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("polytope points: direct enumeration = ballot formula "
+                       "(n <= 5, t_i <= 3)", bad))
 
     bad = []
     for n in range(1, 6):
@@ -496,8 +497,7 @@ def check_c7():
                 list(ts[:-1]) + [ts[-1] - 1]
             ):
                 bad.append(ts)
-    out.append(("monomial count = polytope count bridge (n <= 5, t_i <= 3)",
-                not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("monomial count = polytope count bridge (n <= 5, t_i <= 3)", bad))
 
     bad = []
     for n in range(1, 6):
@@ -509,8 +509,8 @@ def check_c7():
                 and len(lattice.lpath_sequences(n, t)) == closed
             ):
                 bad.append((n, t))
-    out.append(("uniform staircase: closed form = path DP = slice count "
-                "(n <= 5, t <= 3)", not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("uniform staircase: closed form = path DP = slice count "
+                       "(n <= 5, t <= 3)", bad))
 
     bad = []
     for n in range(1, 9):
@@ -522,8 +522,8 @@ def check_c7():
                 K = lattice.shifted_path_count(n, s, t, "Ksum")
                 if not closed == dp == L == K:
                     bad.append((n, s, t))
-    out.append(("shifted staircase: closed form = path DP = both ballot sums "
-                "(n <= 8, s,t <= 4)", not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("shifted staircase: closed form = path DP = both ballot sums "
+                       "(n <= 8, s,t <= 4)", bad))
 
     bad = []
     for n in range(1, 5):
@@ -531,9 +531,8 @@ def check_c7():
             l, r, eq = lattice.noncrossing_identity(ms)
             if not eq:
                 bad.append(ms)
-    out.append(("matching identity holds for all m in [-2,3]^n, n <= 4 "
-                "(including negative and non-monotone)", not bad,
-                f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("matching identity holds for all m in [-2,3]^n, n <= 4 "
+                       "(including negative and non-monotone)", bad))
 
     bad = []
     for n in range(1, 6):
@@ -541,8 +540,7 @@ def check_c7():
             N = lattice.ascending_product_poly(n, m).num_terms
             if N != lattice.ascending_product_count(n, m):
                 bad.append((n, m))
-    out.append(("ascending products match the tableau count (n <= 5)",
-                not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("ascending products match the tableau count (n <= 5)", bad))
 
     bad = []
     for n in range(1, 6):
@@ -550,8 +548,7 @@ def check_c7():
             N = lattice.fuss_product_poly(n, k).num_terms
             if N != lattice.fuss_catalan(n, k):
                 bad.append((n, k))
-    out.append(("staircase k-th powers give Fuss-Catalan counts (n <= 5)",
-                not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("staircase k-th powers give Fuss-Catalan counts (n <= 5)", bad))
 
     rows = lattice.staircase_grid_report(4, 3)
     grid_ok = all(str(row[2]) == row[4] for row in rows)
@@ -570,8 +567,8 @@ def check_c7():
                 lattice.ps_interior_transform(ms)
             ):
                 bad.append(ms)
-    out.append(("interior points match the reciprocity transform (n <= 4, "
-                "m_i <= 4)", not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("interior points match the reciprocity transform (n <= 4, "
+                       "m_i <= 4)", bad))
 
     bad = []
     for n in range(2, 9):
@@ -589,8 +586,8 @@ def check_c7():
                 total += coef * prod
             if total != comb((s + 1) * n - 2, n - 1):
                 bad.append((n, s))
-    out.append(("partition-sum identity with coefficient C(n, #parts) "
-                "(n <= 8, s <= 3)", not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("partition-sum identity with coefficient C(n, #parts) "
+                       "(n <= 8, s <= 3)", bad))
 
     bad = [n for n in range(2, 13) if lattice.catalan_inversion(n) != catalan(n)]
     n1 = lattice.catalan_inversion(1)
@@ -612,19 +609,17 @@ def check_c8():
             for n in range(8):
                 if traveling.traveling_poly(j, k, n).num_terms != seq[n]:
                     bad.append((j, k, n))
-    out.append(("traveling counts match the oracle (j <= 3, k <= 4, n <= 7)",
-                not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("traveling counts match the oracle (j <= 3, k <= 4, n <= 7)", bad))
 
     seq = traveling.traveling_seq(1, 3, 21)
     bad = [n for n in range(21) if seq[n] != fibonacci(2 * n + 2)]
-    out.append(("j=1, k=3 sequence equals F(2n+2) for n <= 20",
-                not bad, str(bad) if bad else "ok"))
+    out.append(_clause("j=1, k=3 sequence equals F(2n+2) for n <= 20", bad))
 
     bad = [(k, m) for k in range(7) for m in range(7)
            if traveling.charpoly(traveling.connectivity_matrix(k, m))
            != traveling.theta_charpoly(k, m)]
-    out.append(("transfer-matrix characteristic polynomial: determinant = "
-                "closed form (k, m <= 6)", not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("transfer-matrix characteristic polynomial: determinant = "
+                       "closed form (k, m <= 6)", bad))
 
     bad = []
     for k in range(1, 4):
@@ -633,8 +628,8 @@ def check_c8():
             for n in range(6):
                 if traveling.window_power_poly(n, k, m).num_terms != ser[n]:
                     bad.append((k, m, n))
-    out.append(("window-power series match the oracle (k <= 3, m <= 2, n <= 5)",
-                not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("window-power series match the oracle (k <= 3, m <= 2, n <= 5)",
+                       bad))
 
     bad = []
     for m in range(1, 5):
@@ -658,8 +653,8 @@ def check_c8():
         for k, gf, want in ((2, gf2, want2), (3, gf3, want3), (4, gf4, want4)):
             if not genfun_equal_as_series(gf, want):
                 bad.append((k, m))
-    out.append(("window-power numerators match the printed templates "
-                "(k in {2,3,4}, m <= 4)", not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("window-power numerators match the printed templates "
+                       "(k in {2,3,4}, m <= 4)", bad))
 
     bad = []
     for n in range(4):
@@ -667,8 +662,8 @@ def check_c8():
             for m in range(4):
                 if traveling.j_poly(n, k, m).num_terms != traveling.j_count(n, k, m):
                     bad.append((n, k, m))
-    out.append(("one-variable window counts match the closed form (n,k,m <= 3)",
-                not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("one-variable window counts match the closed form (n,k,m <= 3)",
+                       bad))
 
     bad = []
     gfG = traveling.spaced_triple_genfun()
@@ -677,8 +672,7 @@ def check_c8():
         N = traveling.spaced_triple_poly(n).num_terms
         if not (N == traveling.spaced_triple_count(n) == serG[n]):
             bad.append(n)
-    out.append(("spaced-triple counts: closed form = GF = oracle (n <= 8)",
-                not bad, str(bad) if bad else "ok"))
+    out.append(_clause("spaced-triple counts: closed form = GF = oracle (n <= 8)", bad))
 
     bad = []
     for t in (1, 2):
@@ -690,8 +684,8 @@ def check_c8():
                         and cen.get(1, 0) - cen.get(-1, 0) == 1)
             if p.num_terms != ser[n] or not balanced:
                 bad.append((t, n))
-    out.append(("plus-minus chains: counts match GF; coefficients all +-1 with "
-                "one extra +1 (n <= 8)", not bad, f"{bad}" if bad else "ok"))
+    out.append(_clause("plus-minus chains: counts match GF; coefficients all +-1 with "
+                       "one extra +1 (n <= 8)", bad))
 
     want = [1, 2, 6, 22, 90]
     got = [traveling.schroeder_sum(n) for n in range(5)]
@@ -720,8 +714,8 @@ def check_c9():
         A = corpus_automaton(name)
         if A.column_sum_violations():
             bad.append(name)
-    out.append(("every transition column sums to q^k over the whole corpus",
-                not bad, str(bad) if bad else f"{len(CORPUS_ALL)} automata"))
+    out.append(_clause("every transition column sums to q^k over the whole corpus",
+                       bad, f"{len(CORPUS_ALL)} automata"))
 
     import random
 
@@ -739,8 +733,8 @@ def check_c9():
         padded = A.read_counts(alpha, [vec])[0]
         if padded != base:
             bad.append((name, n, zeros))
-    out.append(("leading zero digits never change the count (50 random cases)",
-                not bad, f"{bad[:3]}" if bad else "ok"))
+    out.append(_clause("leading zero digits never change the count (50 random cases)",
+                       bad))
     return out
 
 

@@ -43,8 +43,8 @@ import itertools
 import math
 
 from . import modular
-from .ffield import _TABLE_LIMIT, Field
-from .mpoly import MultiPoly, _convolve, _key_fields, current_limits
+from .ffield import _TABLE_LIMIT, Field, base_digits
+from .mpoly import MultiPoly, _convolve, _key_fields, current_limits, nonzero_alpha
 
 # box points Π(b_i + 1) an automaton may have; the box is refused before
 # anything the size of it is allocated
@@ -67,17 +67,6 @@ def check_field(field) -> None:
         raise AutomatonError("automaton needs a finite-field polynomial")
     if field.q > _TABLE_LIMIT:
         raise AutomatonError(f"automaton supports q <= {_TABLE_LIMIT}")
-
-
-def base_digits(n: int, q: int):
-    """The base-q digits of n >= 0, least significant first (none for 0)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    digits = []
-    while n:
-        n, digit = divmod(n, q)
-        digits.append(digit)
-    return digits
 
 
 class DigitAutomaton:
@@ -313,22 +302,13 @@ class DigitAutomaton:
 
     # -- vectors ---------------------------------------------------------
 
-    def _alpha_encoding(self, alpha) -> int:
-        alpha = self.field.encoding(alpha)
-        if alpha == 0:
-            raise ValueError(
-                "alpha must be nonzero; zero-coefficient counts follow from "
-                "N + N_0 = number of coefficient slots"
-            )
-        return alpha
-
     def read_counts(self, alpha, vecs):
         """For each state vector, the number of coefficients equal to alpha.
 
         The output vector covers only the states known now, so every vector
         must be made before the call.
         """
-        a = self._alpha_encoding(alpha)
+        a = nonzero_alpha(self.field, alpha)
         out = [pat.count(a) for pat in self.states]
         return [sum(u * x for u, x in zip(out, vec)) for vec in vecs]
 

@@ -52,6 +52,17 @@ def _int_list(text: str, option: str) -> list[int]:
     return out
 
 
+def _bounded_int(text: str, option: str) -> int:
+    """The integer an option's text spells, refused past MAX_EXPONENT_DIGITS
+    characters before it is converted; both refusals name the option."""
+    if len(text) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"{option} longer than {MAX_EXPONENT_DIGITS} characters")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} is not an integer: {text!r}") from None
+
+
 def parse_field(text: str) -> Field:
     """Parse `p` or `p^r[:c0,c1,...,1]` (modulus digits, constant first)."""
     body = text
@@ -138,12 +149,7 @@ def cmd_genfun(args) -> int:
 def cmd_qpow(args) -> int:
     if (args.verify_upto or 0) > MAX_EXPONENT_DIGITS:
         raise ValueError(f"--verify-upto needs M <= {MAX_EXPONENT_DIGITS}")
-    if len(args.c) > MAX_EXPONENT_DIGITS:
-        raise ValueError(f"--c longer than {MAX_EXPONENT_DIGITS} characters")
-    try:
-        c = int(args.c)
-    except ValueError:
-        raise ValueError(f"--c is not an integer: {args.c!r}") from None
+    c = _bounded_int(args.c, "--c")
     field = parse_field(args.field)
     g = dense_coeffs(parse_poly(args.g, 1, field))
     prof = qpow.fit_qpow_profile(g, field, c, args.alpha)
@@ -166,25 +172,29 @@ def cmd_qpow(args) -> int:
 
 def cmd_closed_form(args) -> int:
     kind = args.kind
+    if kind == "lucas" and args.m is None:
+        raise UsageError("closed-form lucas needs --m")
+    n = _bounded_int(args.n, "--n")
+    m = None if args.m is None else _bounded_int(args.m, "--m")
     if kind == "lucas":
-        if args.m is None:
-            raise UsageError("closed-form lucas needs --m")
-        emit({"value": closed_forms.lucas_binomial(args.n, args.m, args.p)})
+        emit({"value": closed_forms.lucas_binomial(n, m, args.p)})
     elif kind == "binom-census":
-        census, total = closed_forms.binomial_row_census(args.n, args.p)
+        census, total = closed_forms.binomial_row_census(n, args.p)
         emit({"census": {str(k): _json_int(v) for k, v in sorted(census.items())},
               "total": _json_int(total)})
     elif kind == "prop23":
-        out = {"count": _json_int(closed_forms.all_ones_power_count(args.n, args.p))}
-        if args.m is not None:
-            out["coeff"] = closed_forms.all_ones_power_coeff(args.n, args.m, args.p)
+        out = {"count": _json_int(closed_forms.all_ones_power_count(n, args.p))}
+        if m is not None:
+            out["coeff"] = closed_forms.all_ones_power_coeff(n, m, args.p)
         emit(out)
     elif kind == "omega":
-        emit({"runs": closed_forms.run_lengths(args.n),
-              "count": _json_int(closed_forms.trinomial_odd_count(args.n))})
+        emit({"runs": closed_forms.run_lengths(n),
+              "count": _json_int(closed_forms.trinomial_odd_count(n))})
     elif kind == "family22":
-        m = 2 if args.m is None else args.m
-        emit({"count": _json_int(closed_forms.family_count(m, args.n))})
+        k = 2 if m is None else m
+        if max(n, k) > MAX_EXPONENT_DIGITS:  # sizes, like m in rep:m
+            raise ValueError(f"family22 needs --n and --m <= {MAX_EXPONENT_DIGITS}")
+        emit({"count": _json_int(closed_forms.family_count(k, n))})
     return 0
 
 
@@ -239,16 +249,17 @@ def cmd_traveling(args) -> int:
     elif kind == "d-counts":
         if args.k not in (0, 2):
             raise UsageError("traveling d-counts takes --k 0 or --k 2")
-        out = {"schroeder": _json_int(traveling.schroeder_sum(args.n))}
+        # the budget-bounded expansions first: the closed sums have no bound
         if args.k == 0:
-            out["oracle"] = _json_int(traveling.d_count(args.n + 1, 0))
+            out = {"oracle": _json_int(traveling.d_count(args.n + 1, 0))}
         else:
-            out["table"] = [
+            out = {"table": [
                 {"n": r[0], "nu": _json_int(r[1]), "half": str(r[2]),
                  "direct_index": "None" if r[3] is None else _json_int(r[3]),
                  "shifted_index": "None" if r[4] is None else _json_int(r[4])}
                 for r in traveling.duplication_report(args.n)
-            ]
+            ]}
+        out["schroeder"] = _json_int(traveling.schroeder_sum(args.n))
         emit(out)
     elif kind == "h-seq":
         emit({"terms": [str(v) for v in traveling.h_seq(args.p, args.terms)]})
@@ -346,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-form", help="digit-based closed forms")
     p.add_argument("kind", choices=["lucas", "binom-census", "prop23",
                                     "omega", "family22"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
+    # text, so their length is bounded before they are converted
+    p.add_argument("--n", required=True)
+    p.add_argument("--m")
     p.add_argument("--p", type=int, default=2)
     p.set_defaults(func=cmd_closed_form)
 

@@ -12,9 +12,8 @@ from collections import Counter
 from itertools import zip_longest
 from math import comb, prod
 
-from .automaton import base_digits
 from .combinat import fibonacci
-from .ffield import is_prime
+from .ffield import base_digits, is_prime
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:

@@ -52,6 +52,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def base_digits(n: int, q: int):
+    """The base-q digits of n >= 0, least significant first (none for 0)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    digits = []
+    while n:
+        n, digit = divmod(n, q)
+        digits.append(digit)
+    return digits
+
+
 class Field:
     """The finite field F_{p^r}, immutable once constructed.
 
@@ -97,12 +108,8 @@ class Field:
 
     def coeffs(self, a: int):
         """Polynomial-basis coordinates of an encoded element."""
-        p = self.p
-        out = []
-        for _ in range(self.r):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+        digits = base_digits(a, self.p)
+        return tuple(digits + [0] * (self.r - len(digits)))
 
     def encoding(self, value) -> int:
         """The encoding of an input integer: reduced mod p in a prime field;
@@ -266,24 +273,17 @@ class Field:
 def find_irreducible(p: int, r: int):
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
-    Candidates x^r + a_{r-1} x^{r-1} + ... + a_0 are scanned in increasing
-    order of the value a_0 + a_1 p + ... so the result is deterministic.
+    Candidates x^r + a_{r-1} x^{r-1} + ... + a_0, the base-p digits of their
+    value at p, are scanned in increasing order of it: the result is deterministic.
     For r = 1 the convention is the polynomial x.
     """
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
+    prime = Field(p)  # refuses a p that is not prime
     if r < 1:
         raise FieldError("degree must be >= 1")
     if r == 1:
         return (0, 1)
-    prime = Field(p)
-    for v in range(p**r):
-        coeffs = []
-        t = v
-        for _ in range(r):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+    for value in range(p**r, 2 * p**r):
+        coeffs = base_digits(value, p)
         if unipoly.is_irreducible(prime, coeffs):
             return tuple(coeffs)
     raise FieldError("no irreducible found")  # unreachable: they always exist

@@ -30,11 +30,11 @@ from .combinat import binomial_row, catalan, multichoose_row
 from .mpoly import ZZ, MultiPoly, linear_product
 
 DEFAULT_ENUM_CAP = 15
-# Most (row entry, next row entry) pairs one ballot sum may visit, checked
-# before the first row exists; it also bounds the row length.  K_n needs
-# (n-1) n (n+1) / 3 pairs, so n <= 391 passes (the enumeration cap is 15),
-# and every L_{n,t} of at most 10^7 sequences (the scale of Catalan(15))
-# needs at most 1.34e7.
+# Most (row entry, next row entry) pairs, plus the last weight row's
+# entries, one ballot sum may visit, checked before the first row exists;
+# it also bounds the row length.  K_n needs (n-1) n (n+1) / 3 + n + 1, so
+# n <= 391 passes (the enumeration cap is 15), and every L_{n,t} of at
+# most 10^7 sequences (the scale of Catalan(15)) needs at most 1.34e7.
 BALLOT_WORK_CAP = 2 * 10**7
 # Most nodes (prefixes and last-level points) one `_prefixes` walk may visit,
 # each level's nodes counted before they are made.  K_13 takes 1 033 410
@@ -98,7 +98,7 @@ def _ballot_sum(caps, total: int, rows) -> int:
     last step is one dot product.  Every entry is kept whatever its sign,
     so negative weights are summed exactly.  Raises LatticeError before the
     first row is built if the DP would visit more than BALLOT_WORK_CAP
-    pairs of entries (at most n (total + 1)^2).
+    pairs of entries and last-row entries (at most n (total + 1)^2).
     """
     n = len(caps)
     if total < 0:
@@ -107,23 +107,26 @@ def _ballot_sum(caps, total: int, rows) -> int:
         return 1 if total == 0 else 0
     if caps[-1] < total:
         return 0
-    work, width = 0, 1
+    work, width = total + 1, 1  # the last weight row has total + 1 entries
     for cap in caps[:-1]:
+        if work > BALLOT_WORK_CAP:
+            break
         if cap < 0:
             return 0
         nxt = min(cap, total) + 1
         work += width * nxt
         width = nxt
-        if work > BALLOT_WORK_CAP:
-            raise LatticeError(
-                f"a ballot sum over {n} positions with total {total} exceeds "
-                f"the work cap {BALLOT_WORK_CAP}")
+    if work > BALLOT_WORK_CAP:
+        raise LatticeError(
+            f"a ballot sum over {n} positions with total {total} exceeds "
+            f"the work cap {BALLOT_WORK_CAP}")
     row = [1]
     for j, cap in enumerate(caps[:-1], 1):
         top = min(cap, total)
         rev = rows(j, top)[::-1]
-        # rev[top - s:] holds w_j(s), w_j(s-1), ...: map stops at the row's end
-        row = [sum(map(mul, row, rev[top - s:])) for s in range(top + 1)]
+        # entry s = top - i reads rev[i:] = w_j(s), w_j(s-1), ..., as far as row goes
+        width = len(row)
+        row = [sum(map(mul, row, rev[i:i + width])) for i in range(top, -1, -1)]
     return sum(map(mul, row, reversed(rows(n, total))))
 
 

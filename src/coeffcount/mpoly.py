@@ -74,6 +74,17 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
+def nonzero_alpha(ring, alpha):
+    """The counted coefficient alpha over ring: its Field.encoding over a
+    field, alpha as given over ZZ.  Zero is refused."""
+    if isinstance(ring, Field):
+        alpha = ring.encoding(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero; zero-coefficient counts follow "
+                         "from N + N_0 = number of coefficient slots")
+    return alpha
+
+
 class MultiPoly:
     """A sparse polynomial in k variables over ring (ZZ or a Field).
 

@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .ffield import Field
-from .mpoly import BudgetError, MultiPoly, current_limits
+from .mpoly import BudgetError, MultiPoly, current_limits, nonzero_alpha
 
 
 def _pack_terms(poly: MultiPoly, bounds):
@@ -73,52 +73,42 @@ def _mul_packed(acc: dict, factor, ring, budget: int) -> dict:
 
 
 def _ladder(f: MultiPoly, n: int):
-    """The term budget and packed factor of a ladder of n products by f,
-    refused before the first product when n * max(|f|, 1) exceeds the
-    budget: each product visits at least |f| term pairs."""
+    """Yield the packed terms of f^0, f^1, ..., f^n, one product by f each,
+    refused before the first product when n < 0 or n * max(|f|, 1) exceeds
+    the term budget: each product visits at least |f| term pairs."""
     budget = current_limits()[0]
     if n < 0:
         raise ValueError("negative exponent")
     if n * max(f.num_terms, 1) > budget:
         raise BudgetError(
             f"{n} products by {f.num_terms} terms exceed the term budget {budget}")
-    if f.is_zero():
-        return budget, []
-    return budget, _pack_terms(f, [d * max(n, 1) for d in f.var_degrees()])
+    factor = [] if f.is_zero() else _pack_terms(
+        f, [d * max(n, 1) for d in f.var_degrees()])
+    acc = {0: f.ring.one}
+    yield acc
+    for _ in range(n):
+        acc = _mul_packed(acc, factor, f.ring, budget)
+        yield acc
 
 
 def power_census_series(f: MultiPoly, n_max: int):
     """Censuses of f^0, f^1, ..., f^n_max by one repeated-multiplication ladder."""
-    budget, factor = _ladder(f, n_max)
-    acc = {0: f.ring.one}
-    out = [Counter(acc.values())]
-    for _ in range(n_max):
-        acc = _mul_packed(acc, factor, f.ring, budget)
-        out.append(Counter(acc.values()))
-    return out
+    return [Counter(acc.values()) for acc in _ladder(f, n_max)]
 
 
 def brute_power_census(f: MultiPoly, n: int, alpha=None):
     """Number of coefficients of f^n equal to alpha (or the full census).
 
-    Expands f^n by n products into one accumulator.  Over a field, alpha
-    is an integer made an encoding by Field.encoding; over ZZ it is a
-    plain integer.  With alpha=None the whole census dict is returned.
-    alpha = 0 is refused before the expansion: the census holds nonzero
-    coefficients only.
+    Expands f^n by n products into one accumulator, the last rung of the
+    ladder.  alpha is read by mpoly.nonzero_alpha, before the expansion:
+    an encoding over a field, a plain integer over ZZ, and never 0, since
+    the census holds nonzero coefficients only.  With alpha=None the whole
+    census dict is returned.
     """
     if alpha is not None:
-        if isinstance(f.ring, Field):
-            alpha = f.ring.encoding(alpha)
-        if alpha == 0:
-            raise ValueError(
-                "alpha must be nonzero; zero-coefficient counts follow from "
-                "N + N_0 = number of coefficient slots"
-            )
-    budget, factor = _ladder(f, n)
-    acc = {0: f.ring.one}
-    for _ in range(n):
-        acc = _mul_packed(acc, factor, f.ring, budget)
+        alpha = nonzero_alpha(f.ring, alpha)
+    for acc in _ladder(f, n):
+        pass  # each rung replaces the one before it
     census = Counter(acc.values())
     return census if alpha is None else census.get(alpha, 0)
 

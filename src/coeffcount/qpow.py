@@ -35,7 +35,7 @@ from fractions import Fraction
 from . import automaton, unipoly
 from .ffield import Field, is_primitive
 from .mpoly import MultiPoly, current_limits, dense_coeffs, from_dense
-from .ratgen import _Record, _set
+from .ratgen import _Record
 
 
 # Measured on a 2-CPU Xeon under Python 3.11, worst of three random g.
@@ -172,18 +172,6 @@ class QPowProfile(_Record):
     """The fitted law N_alpha(m) = u(m mod d) q^m + v(m mod d) for m >= l."""
 
     __slots__ = ("g", "c", "alpha", "q", "d", "mu", "l", "u", "v")
-
-    def __init__(self, g: tuple, c: int, alpha: int, q: int, d: int, mu: int,
-                 l: int, u: tuple, v: tuple):
-        _set(self, "g", g)
-        _set(self, "c", c)
-        _set(self, "alpha", alpha)
-        _set(self, "q", q)
-        _set(self, "d", d)
-        _set(self, "mu", mu)
-        _set(self, "l", l)
-        _set(self, "u", u)
-        _set(self, "v", v)
 
     def predict(self, m: int) -> int:
         if m < self.l:

@@ -32,11 +32,20 @@ _set = object.__setattr__
 
 
 class _Record:
-    """A frozen record whose fields are its class's ``__slots__``, set once
-    by ``__init__`` through ``_set``.  Records are equal, and hash equal,
-    when their types and fields are; assignment raises AttributeError."""
+    """A frozen record whose fields are its ``__slots__``, set once by an
+    ``__init__`` made from them (as namedtuple makes its ``__new__``).
+    Records are equal, and hash equal, when their types and fields are;
+    assignment raises AttributeError."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        body = "; ".join(f"_set(self, {name!r}, {name})" for name in names)
+        namespace = {"_set": _set, "__name__": cls.__module__}
+        exec(f"def __init__(self, {', '.join(names)}): {body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -69,10 +78,6 @@ class LinearRecurrence(_Record):
 
     __slots__ = ("coeffs", "initial")
 
-    def __init__(self, coeffs: tuple, initial: tuple):
-        _set(self, "coeffs", coeffs)
-        _set(self, "initial", initial)
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -99,10 +104,6 @@ class RationalGF(_Record):
     """num(t)/den(t) with integer coefficients and den[0] = 1."""
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple, den: tuple):
-        _set(self, "num", num)
-        _set(self, "den", den)
 
     @staticmethod
     def make(num, den) -> "RationalGF":

@@ -365,8 +365,9 @@ def duplication_report(n_max: int):
     (at n = 10: 27477 vs 27466), so the table is emitted for inspection
     rather than asserted.  Every expansion is bounded by the term budget.
     """
-    nu = nu_sequence(n_max)
+    # the budget-bounded expansions before nu, which has no bound of its own
     d_cache = {m: d_count(m, 2) for m in range(0, n_max - 1)}
+    nu = nu_sequence(n_max)
     rows = []
     for n in range(3, n_max + 1):
         rows.append((

@@ -111,3 +111,12 @@ def test_c8_traveling_products():
 
 def test_c9_automaton_invariants():
     _run("C9", acceptance.check_c9())
+
+
+def test_clause_reports_the_first_four_failures():
+    # the one failure report of the loop clauses: the first four failing
+    # cases, or the clause's own detail when none failed
+    assert acceptance._clause("label", []) == ("label", True, "ok")
+    assert acceptance._clause("label", [], "9 terms") == ("label", True, "9 terms")
+    assert (acceptance._clause("label", [(1, 2), 3, 4, 5, 6], "9 terms")
+            == ("label", False, "failed at [(1, 2), 3, 4, 5]"))

@@ -755,3 +755,61 @@ def test_remaining_cli_branches(capsys, argv, check):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0
     assert check(json.loads(out), err)
+
+
+LONG_N = "9" * (MAX_EXPONENT_DIGITS + 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("binom-census --n " + LONG_N, f"--n longer than {MAX_EXPONENT_DIGITS} characters"),
+    ("lucas --n 5 --m " + LONG_N, f"--m longer than {MAX_EXPONENT_DIGITS} characters"),
+    ("omega --n 1.5", "--n is not an integer: '1.5'"),
+    ("prop23 --n 5 --m x", "--m is not an integer: 'x'"),
+    (f"family22 --n {MAX_EXPONENT_DIGITS + 1}",
+     f"family22 needs --n and --m <= {MAX_EXPONENT_DIGITS}"),
+    (f"family22 --n 3 --m {MAX_EXPONENT_DIGITS + 1}",
+     f"family22 needs --n and --m <= {MAX_EXPONENT_DIGITS}"),
+], ids=["long-n", "long-m", "non-integer-n", "non-integer-m", "family-n", "family-k"])
+def test_closed_form_bounds_its_integers_before_computing(capsys, monkeypatch, argv,
+                                                          message):
+    # the digit loops grow as the square of the length of n, and
+    # k (k + 1)^n has about n log k digits: each is refused before it runs
+    def never(*args):
+        raise AssertionError("the closed form ran")
+
+    for name in ("lucas_binomial", "binomial_row_census", "all_ones_power_count",
+                 "all_ones_power_coeff", "run_lengths", "trinomial_odd_count",
+                 "family_count"):
+        monkeypatch.setattr(cli.closed_forms, name, never)
+    code, out, err = run_cli(capsys, "closed-form", *argv.split())
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_closed_form_answers_at_the_longest_n(capsys):
+    # a 20 000-digit n; its base-p digits take seconds only for a small p
+    digits, p = MAX_EXPONENT_DIGITS, 1000003
+    code, out, _ = run_cli(capsys, "closed-form", "lucas", "--n", "9" * digits,
+                           "--m", "5", "--p", str(p))
+    assert code == 0 and json.loads(out) == {"value": math.comb(10**digits - 1, 5) % p}
+    # family22 at the largest n: 2 * 3^n - 2^n has 9543 digits
+    code, out, _ = run_cli(capsys, "closed-form", "family22", "--n", str(digits))
+    assert code == 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10_000
+        want = 2 * decimal.Decimal(3) ** digits - decimal.Decimal(2) ** digits
+        assert json.loads(out) == {"count": str(want)}
+
+
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_d_counts_expand_before_the_closed_sums(capsys, monkeypatch, k):
+    # the expansions refuse n = 8000 under a 100-term budget at once; the
+    # Schroeder sum and nu of that n alone take seconds
+    def never(*args):
+        raise AssertionError("a closed sum ran before the expansions")
+
+    monkeypatch.setattr(traveling, "schroeder_sum", never)
+    monkeypatch.setattr(traveling, "nu_sequence", never)
+    code, out, err = run_cli(capsys, "--budget-terms", "100", "traveling", "d-counts",
+                             "--k", k, "--n", "8000")
+    assert (code, out) == (1, "")
+    assert err == "error: term budget 100 exceeded in multiplication\n"

@@ -1,5 +1,8 @@
+import ast
+
 import pytest
 
+from coeffcount import automaton, closed_forms, ffield
 from coeffcount.automaton import base_digits
 from coeffcount.closed_forms import (
     all_ones_power_coeff,
@@ -128,3 +131,20 @@ def test_doubling_identity_holds_for_binomial_rows():
     rows = [binomial_row_census(m, 2)[1] for m in range(128)]
     assert doubling_mismatches(rows) == []
     assert doubling_mismatches([1, 2, 2, 5]) == [3]
+
+
+def test_closed_forms_do_not_depend_on_the_automaton():
+    # verify checks these closed forms against the automaton, so they take
+    # their digits from ffield, the lowest layer, not from its module
+    with open(closed_forms.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name and "automaton" in name}
+    # one base_digits, re-exported by automaton for its callers
+    assert closed_forms.base_digits is automaton.base_digits is ffield.base_digits

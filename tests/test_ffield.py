@@ -8,6 +8,7 @@ from coeffcount import unipoly
 from coeffcount.ffield import (
     Field,
     FieldError,
+    base_digits,
     find_irreducible,
     is_primitive,
 )
@@ -220,6 +221,28 @@ F81 = Field(3, 4)
 @given(st.integers(min_value=0, max_value=80))
 def test_elem_roundtrip_f81(val):
     assert sum(c * 3**i for i, c in enumerate(F81.coeffs(val))) == val
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9, F81, Field(2, 9), Field(3, 6)],
+                         ids=["F2", "F3", "F4", "F9", "F81", "F512", "F729"])
+def test_coeffs_are_the_padded_base_p_digits(field):
+    # every coordinate tuple has r entries in [0, p), whatever a's top digits
+    for a in range(field.q):
+        coeffs = field.coeffs(a)
+        assert len(coeffs) == field.r and all(0 <= c < field.p for c in coeffs)
+        assert sum(c * field.p**i for i, c in enumerate(coeffs)) == a
+    assert base_digits(field.q - 1, field.p) == [field.p - 1] * field.r
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 256])
+def test_find_irreducible_refuses_a_p_that_is_not_prime(p):
+    # the Field(p) it builds refuses p with the text Field(p) itself raises
+    with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+        find_irreducible(p, 2)
+    with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+        find_irreducible(p, 1)
+    with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+        Field(p, 2)
 
 
 def test_encoding_rule():

@@ -283,6 +283,25 @@ def test_oversized_ballot_sum_refused_before_allocation():
     assert peak < 1 << 16
 
 
+def test_last_weight_row_counts_toward_the_work_cap(monkeypatch):
+    # one position: the sum is the last weight row alone, 3 * 10^7 entries,
+    # refused before that row is built
+    def never(*args):
+        raise AssertionError("a weight row was built")
+
+    monkeypatch.setattr(lattice, "multichoose_row", never)
+    with pytest.raises(LatticeError, match="work cap"):
+        shifted_path_count(1, 1, 3 * 10**7, "Lsum")
+
+
+@pytest.mark.parametrize("n, s, t", [(2, 3, 2000), (2, 50, 3000), (3, 2, 700)])
+def test_wide_first_step_sums_equal_the_closed_form(n, s, t):
+    # the first weight rows are wide and the rows they meet narrow: each
+    # entry reads only as much of its weight row as the row it multiplies
+    assert (shifted_path_count(n, s, t, "Lsum")
+            == shifted_path_count(n, s, t, "closed"))
+
+
 def test_noncrossing_identity():
     assert noncrossing_identity([1, 1]) == (2, 2, True)
     assert noncrossing_identity([1, 2]) == (5, 5, True)

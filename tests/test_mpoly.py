@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from coeffcount import mpoly
 from coeffcount.acceptance import vandermonde_poly
-from coeffcount.ffield import Field
+from coeffcount.automaton import DigitAutomaton
+from coeffcount.ffield import Field, FieldError
 from coeffcount.mpoly import (
     DEFAULT_STATE_CAP,
     DEFAULT_TERM_BUDGET,
@@ -23,6 +24,7 @@ from coeffcount.mpoly import (
     from_dense,
     limits,
     linear_product,
+    nonzero_alpha,
     parse_poly,
 )
 from coeffcount.oracle import brute_power_census
@@ -482,3 +484,40 @@ def test_vandermonde_matches_written_out_product():
             assert vandermonde_poly(nvars, field) == want, (nvars, field)
             assert (vandermonde_poly(nvars, field, plus_one=True)
                     == want + MultiPoly.one(nvars, field))
+
+
+ALPHA_MESSAGE = ("alpha must be nonzero; zero-coefficient counts follow from "
+                 "N + N_0 = number of coefficient slots")
+
+
+@pytest.mark.parametrize("ring, alpha, want", [
+    (ZZ, 3, 3), (ZZ, -2, -2), (F3, 2, 2), (F3, 5, 2), (F3, -1, 2), (F4, 3, 3),
+], ids=["ZZ", "ZZ-negative", "F3", "F3-reduced", "F3-negative", "F4"])
+def test_nonzero_alpha_encodes_alpha(ring, alpha, want):
+    # over a field alpha is read by Field.encoding, over ZZ as given
+    assert nonzero_alpha(ring, alpha) == want
+
+
+@pytest.mark.parametrize("ring, alpha", [(ZZ, 0), (F3, 0), (F3, 3), (F3, -6), (F4, 0)],
+                         ids=["ZZ", "F3", "F3-p", "F3-negative", "F4"])
+def test_nonzero_alpha_refuses_zero_with_one_message(ring, alpha):
+    # the automaton and the oracle refuse it with the same text, since both
+    # read alpha through nonzero_alpha
+    with pytest.raises(ValueError) as direct:
+        nonzero_alpha(ring, alpha)
+    assert str(direct.value) == ALPHA_MESSAGE
+    f = parse_poly("1+x^2", 1, ring)
+    with pytest.raises(ValueError) as brute:
+        brute_power_census(f, 1, alpha)
+    assert str(brute.value) == ALPHA_MESSAGE
+    if ring is not ZZ:
+        with pytest.raises(ValueError) as fast:
+            DigitAutomaton(f).count(1, alpha)
+        assert str(fast.value) == ALPHA_MESSAGE
+
+
+def test_nonzero_alpha_refuses_a_non_integer_over_a_field():
+    with pytest.raises(FieldError, match=r"^1\.5 is not an integer$"):
+        nonzero_alpha(F3, 1.5)
+    with pytest.raises(FieldError, match="out of range for F_4"):
+        nonzero_alpha(F4, 4)

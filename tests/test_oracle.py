@@ -256,3 +256,31 @@ def test_oracle_shares_no_packed_product_code():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert not {"_convolve", "_key_fields"} & names
+
+
+@pytest.mark.parametrize("ring, text, k, n", [
+    (F2, "1+x1+x2+x1*x2^2", 2, 12), (F3, "2+x+x^2", 1, 20), (F4, "1+2*x+x^2", 1, 9),
+    (ZZ, "1-x+x^3", 1, 10), (F257, "3+x1*x2+256*x2^2", 2, 7),
+], ids=["F2", "F3", "F4", "ZZ", "F257"])
+def test_census_series_and_power_read_one_ladder(ring, text, k, n):
+    # the series is every rung of the ladder, and brute_power_census its last
+    f = parse_poly(text, k, ring)
+    series = power_census_series(f, n)
+    assert len(series) == n + 1
+    assert series[n] == brute_power_census(f, n)
+    assert series[0] == brute_power_census(f, 0) == {ring.one: 1}
+
+
+def test_the_ladder_is_refused_before_its_first_product(monkeypatch):
+    # the generator checks n and the budget on its first step, before it
+    # packs f or makes a product
+    def never(*args, **kwargs):
+        raise AssertionError("the ladder started")
+
+    monkeypatch.setattr(oracle, "_mul_packed", never)
+    monkeypatch.setattr(oracle, "_pack_terms", never)
+    f = parse_poly("1+x", 1, F2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        next(oracle._ladder(f, -1))
+    with pytest.raises(BudgetError, match="100000000 products by 2 terms"):
+        next(oracle._ladder(f, 10**8))

@@ -9,6 +9,7 @@ from coeffcount.acceptance import corpus_poly
 from coeffcount.automaton import build_automaton
 from coeffcount.ffield import Field
 from coeffcount.mpoly import parse_poly
+from coeffcount.qpow import QPowProfile
 from coeffcount.ratgen import (
     LinearRecurrence,
     RationalGF,
@@ -83,6 +84,26 @@ def test_records_are_frozen_values():
     assert (repr(LinearRecurrence((Fraction(1, 2),), (1,)))
             == "LinearRecurrence(coeffs=(Fraction(1, 2),), initial=(1,))")
     assert repr(gf) == "RationalGF(num=[1], den=[1, -1, -1])"
+
+
+@pytest.mark.parametrize("cls", [LinearRecurrence, RationalGF, QPowProfile])
+def test_record_constructors_come_from_the_slots(cls):
+    # one constructor per record, made from its slots: positional and
+    # keyword construction agree, and a missing or extra field is a
+    # TypeError that names the class, as a hand-written __init__ would
+    values = [(i,) for i in range(len(cls.__slots__))]
+    record = cls(*values)
+    assert record == cls(**dict(zip(cls.__slots__, values)))
+    assert record._fields() == tuple(values)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    init = rf"^{cls.__qualname__}\.__init__\(\) "
+    with pytest.raises(TypeError, match=init + "missing 1 required positional"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=init + "takes"):
+        cls(*values, ())
+    with pytest.raises(TypeError, match=init + "got an unexpected keyword argument 'extra'"):
+        cls(*values, extra=())
 
 
 def test_gf_expansion_examples():
