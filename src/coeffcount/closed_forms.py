@@ -10,40 +10,88 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import zip_longest
-from math import comb, prod
+from math import prod
 
 from .combinat import fibonacci
-from .ffield import base_digits, is_prime
+from .ffield import DEFAULT_MAX_Q, base_digits, is_prime
+
+
+def _check_prime(p: int) -> None:
+    """Refuses p past the field cap DEFAULT_MAX_Q, before any p-length
+    table is made, and a p that is not prime."""
+    if p > DEFAULT_MAX_Q:
+        raise ValueError(f"p = {p} exceeds the cap {DEFAULT_MAX_Q}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _factorials(top: int, p: int):
+    """The factorials 0!, ..., top! mod p and their inverses, for top < p;
+    C(a, b) mod p is then fact[a] * inv[b] * inv[a - b] for b <= a <= top."""
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * (top + 1)
+    inv[top] = pow(fact[top], -1, p)
+    for i in range(top, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    return fact, inv
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p as the digitwise product of small binomials."""
+    """C(n, k) mod p as the product of the digit binomials C(a, b) mod p
+    over the base-p digits a of n and b of k.
+
+    Only digits with 0 < b < a contribute a factor other than 0 or 1.  Up
+    to the field cap DEFAULT_MAX_Q their binomials are read from one
+    factorial table mod p as large as their largest a.  A larger a, which
+    only p > DEFAULT_MAX_Q allows, makes them falling products of
+    min(b, a - b) factors each, refused past DEFAULT_MAX_Q factors in all
+    before the first is multiplied.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    result = 1
-    for a, b in zip_longest(base_digits(n, p), base_digits(k, p), fillvalue=0):
-        if b > a:
-            return 0
-        result = (result * comb(a, b)) % p
-    return result
+    pairs = list(zip_longest(base_digits(n, p), base_digits(k, p), fillvalue=0))
+    if any(b > a for a, b in pairs):
+        return 0
+    pairs = [(a, b) for a, b in pairs if 0 < b < a]
+    top = max((a for a, _ in pairs), default=0)
+    if top <= DEFAULT_MAX_Q:
+        fact, inv = _factorials(top, p)
+        result = 1
+        for a, b in pairs:
+            result = result * fact[a] * inv[b] * inv[a - b] % p
+        return result
+    factors = sum(min(b, a - b) for a, b in pairs)
+    if factors > DEFAULT_MAX_Q:
+        raise ValueError(f"digit binomials of {factors} factors mod {p} "
+                         f"exceed the cap {DEFAULT_MAX_Q}")
+    num = den = 1
+    for a, b in pairs:
+        for i in range(min(b, a - b)):
+            num = num * (a - i) % p
+            den = den * (i + 1) % p
+    return num * pow(den, -1, p) % p
 
 
 def binomial_row_census(n: int, p: int):
     """Census of the nonzero residues in row n of Pascal's triangle mod p.
 
     Digit DP over the base-p digits of n: each digit a contributes a
-    factor C(a, b) mod p for b = 0..a, and the value classes multiply.
+    factor C(a, b) mod p for b = 0..a, read from one factorial table mod p,
+    and the value classes multiply.
     Returns (census dict, total nonzero count = prod(1 + a_i)).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
+    digits = base_digits(n, p) or [0]
+    fact, inv = _factorials(max(digits), p)
     dist = {1: 1}
     total = 1
-    for a in base_digits(n, p) or [0]:
+    for a in digits:
         total *= 1 + a
-        step = Counter(comb(a, b) % p for b in range(a + 1))
+        step = Counter(fact[a] * inv[b] * inv[a - b] % p for b in range(a + 1))
         new = {}
         for cls, cnt in dist.items():
             for val, mult in step.items():
@@ -60,8 +108,7 @@ def all_ones_power_coeff(n: int, k: int, p: int) -> int:
     Uses (1 + x + ... + x^(p-1)) = (1 - x)^(p-1) mod p, so the coefficient
     is (-1)^k C(pn - n, k).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if not 0 <= k <= (p - 1) * n:
         raise ValueError(f"k must lie in [0, {(p - 1) * n}]")
     sign = p - 1 if k % 2 else 1
@@ -73,8 +120,7 @@ def all_ones_power_count(n: int, p: int) -> int:
 
     Equals prod(1 + b_i) over the base-p digits b_i of (p-1)n.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     return prod(1 + b for b in base_digits((p - 1) * n, p))
 
 

@@ -76,6 +76,8 @@ class Field:
             raise FieldError(f"{p} is not prime")
         if r < 1:
             raise FieldError("extension degree must be >= 1")
+        if r >= DEFAULT_MAX_Q.bit_length():  # 2^r already passes the cap
+            raise FieldError(f"field size {p}^{r} exceeds the cap {DEFAULT_MAX_Q}")
         q = p**r
         if q > DEFAULT_MAX_Q:
             raise FieldError(f"field size {q} exceeds the cap {DEFAULT_MAX_Q}")
@@ -83,20 +85,20 @@ class Field:
         self.r = r
         self.q = q
         self.one = 1
+        if modulus is not None:
+            prime = Field(p)
+            modulus = tuple(map(prime.encoding, modulus))
+            if len(modulus) != r + 1 or modulus[-1] != 1:
+                raise FieldError(f"modulus must be monic of degree {r}")
+            # every monic linear polynomial is irreducible
+            if r > 1 and not unipoly.is_irreducible(prime, list(modulus)):
+                raise FieldError("modulus is not irreducible over F_p")
         if r == 1:
-            self.modulus = (0, 1)  # the polynomial x; unused for prime fields
-        else:
-            if modulus is None:
-                # irreducible by construction: find_irreducible proved it
-                modulus = find_irreducible(p, r)
-            else:
-                prime = Field(p)
-                modulus = tuple(map(prime.encoding, modulus))
-                if len(modulus) != r + 1 or modulus[-1] != 1:
-                    raise FieldError(f"modulus must be monic of degree {r}")
-                if not unipoly.is_irreducible(prime, list(modulus)):
-                    raise FieldError("modulus is not irreducible over F_p")
-            self.modulus = modulus
+            modulus = (0, 1)  # the polynomial x; unused for prime fields
+        elif modulus is None:
+            # irreducible by construction: find_irreducible proved it
+            modulus = find_irreducible(p, r)
+        self.modulus = modulus
         self._add = self._mul = self._inv = self._scale = None
         if q <= _TABLE_LIMIT:
             # _inv[0] is a placeholder; inv() refuses 0 before reading it

@@ -20,6 +20,7 @@ and the state cap, the most states one automaton may discover.
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -85,6 +86,18 @@ def nonzero_alpha(ring, alpha):
     return alpha
 
 
+def _add_term(terms: dict, exp: tuple, c, ring) -> None:
+    """Add c into terms[exp] by the order rule of `+`: a repeated exponent
+    updates its term in place, a zero sum deletes it, and a zero c that
+    meets no term adds none."""
+    if exp in terms:
+        c = ring.add(terms[exp], c)
+        if not c:
+            del terms[exp]
+    if c:
+        terms[exp] = c
+
+
 class MultiPoly:
     """A sparse polynomial in k variables over ring (ZZ or a Field).
 
@@ -115,10 +128,7 @@ class MultiPoly:
                     ok = False
                 if not ok:
                     raise ValueError(f"bad exponent vector {tuple(exp)} for k={k}")
-                if c:
-                    clean[exp] = ring.add(clean[exp], c) if exp in clean else c
-                    if not clean[exp]:
-                        del clean[exp]
+                _add_term(clean, exp, c, ring)
             self._terms = clean
 
     @classmethod
@@ -204,14 +214,7 @@ class MultiPoly:
         ring = self.ring
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            if exp in out:
-                s = ring.add(out[exp], c)
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-            else:
-                out[exp] = c
+            _add_term(out, exp, c, ring)
         return MultiPoly(self.k, ring, out, _clean=True)
 
     def mul(self, other):
@@ -412,113 +415,54 @@ def from_dense(coeffs, ring) -> MultiPoly:
 #
 # Integer literals become coefficients by Field.encoding: over F_p they
 # reduce mod p, over an extension field they must lie in [0, q).  Whitespace
-# is ignored.
+# between tokens is ignored.
+
+# one token after optional whitespace: an integer, a variable (its index
+# digits and its exponent digits may each be empty), an operator, or any
+# other character, which is refused wherever it stands
+_TOKEN = re.compile(r"\s*((\d+)|x(\d*)(?:(\^)(\d*))?|([-+*])|\S)")
 
 
 def parse_poly(text: str, k: int, ring) -> MultiPoly:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def read_int():
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", start)
-        return int(s[start:pos])
-
-    def read_coeff():
-        c = read_int()
-        if not isinstance(ring, Field):
-            return c
-        try:
-            return ring.encoding(c)
-        except FieldError as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def read_factor():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise ParseError("unexpected end of input", pos)
-        ch = s[pos]
-        if ch.isdigit():
-            return ("coeff", read_coeff())
-        if ch == "x":
-            pos += 1
-            if pos < n and s[pos].isdigit():
-                idx = read_int()
-            else:
-                if k != 1:
-                    raise ParseError("bare 'x' is only allowed when k = 1", pos - 1)
-                idx = 1
-            if not 1 <= idx <= k:
-                raise ParseError(f"variable x{idx} out of range 1..{k}", pos)
-            e = 1
-            if pos < n and s[pos] == "^":
-                pos += 1
-                e = read_int()
-            return ("var", idx, e)
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
     terms = {}
-
-    def add_term(sign: int):
-        """Read one term into terms by the order rule of `+`: a repeated
-        exponent updates its term in place, and a zero sum deletes it."""
-        nonlocal pos
-        coeff = ring.one
-        exps = [0] * k
-        while True:
-            kind = read_factor()
-            if kind[0] == "coeff":
-                coeff = ring.mul(coeff, kind[1])
-            else:
-                _, idx, e = kind
-                exps[idx - 1] += e
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            break
-        if sign < 0:
-            coeff = ring.neg(coeff)
-        exp = tuple(exps)
-        if exp in terms:
-            coeff = ring.add(terms[exp], coeff)
-            if not coeff:
-                del terms[exp]
-        if coeff:
-            terms[exp] = coeff
-
-    skip_ws()
-    if pos >= n:
-        raise ParseError("empty polynomial", pos)
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    add_term(sign)
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
+    first = due = True  # before the first token; a factor is due
+    negative, coeff, exps = False, ring.one, [0] * k
+    for m in _TOKEN.finditer(text):
+        token, literal, index, caret, power, op = m.groups()
+        if op is not None and not due:
+            if op != "*":  # the term is complete
+                _add_term(terms, tuple(exps), ring.neg(coeff) if negative else coeff, ring)
+                negative, coeff, exps = op == "-", ring.one, [0] * k
+            due = True
+        elif op in ("+", "-") and first:
+            negative = op == "-"
+        elif literal is not None and due:
+            c = int(literal)
+            if isinstance(ring, Field):
+                try:
+                    c = ring.encoding(c)
+                except FieldError as exc:
+                    raise ParseError(str(exc), m.end(2)) from None
+            coeff = ring.mul(coeff, c)
+            due = False
+        elif index is not None and due:
+            if not index and k != 1:
+                raise ParseError("bare 'x' is only allowed when k = 1", m.start(1))
+            i = int(index or 1)
+            if not 1 <= i <= k:
+                raise ParseError(f"variable x{i} out of range 1..{k}", m.end(3))
+            if caret and not power:
+                raise ParseError("expected an integer", m.end(4))
+            exps[i - 1] += int(power) if caret else 1
+            due = False
         else:
-            raise ParseError(f"unexpected character {s[pos]!r}", pos)
-        pos += 1
-        add_term(sign)
+            raise ParseError(f"unexpected character {token[0]!r}", m.start(1))
+        first = False
+    if first:
+        raise ParseError("empty polynomial", len(text))
+    if due:
+        raise ParseError("unexpected end of input", len(text))
+    _add_term(terms, tuple(exps), ring.neg(coeff) if negative else coeff, ring)
     return MultiPoly(k, ring, terms, _clean=True)
-

@@ -1,4 +1,7 @@
 import ast
+import random
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -148,3 +151,56 @@ def test_closed_forms_do_not_depend_on_the_automaton():
     assert not {name for name in imported if name and "automaton" in name}
     # one base_digits, re-exported by automaton for its callers
     assert closed_forms.base_digits is automaton.base_digits is ffield.base_digits
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: binomial_row_census(10, 65537), "p = 65537 exceeds the cap 65536"),
+    (lambda: binomial_row_census(10, 65535), "65535 is not prime"),
+    (lambda: all_ones_power_count(10, 10**9 + 7), "p = 1000000007 exceeds the cap 65536"),
+    (lambda: all_ones_power_coeff(10, 3, 10**9 + 7),
+     "p = 1000000007 exceeds the cap 65536"),
+    (lambda: all_ones_power_coeff(10, 3, 9), "9 is not prime"),
+    (lambda: lucas_binomial(4, 2, 6), "6 is not prime"),
+    (lambda: lucas_binomial(999_999_999, 499_999_999, 10**9 + 7),
+     "digit binomials of 499999999 factors mod 1000000007 exceed the cap 65536"),
+], ids=["census-cap", "census-prime", "count-cap", "coeff-cap", "coeff-prime",
+        "lucas-prime", "lucas-factors"])
+def test_closed_forms_refuse_p_before_any_table(monkeypatch, call, message):
+    def never(*args):
+        raise AssertionError("a factorial table was built")
+
+    monkeypatch.setattr(closed_forms, "_factorials", never)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _exact_row(n):
+    """C(n, 0), ..., C(n, n) as exact integers, one step each."""
+    row, c = [], 1
+    for b in range(n + 1):
+        row.append(c)
+        c = c * (n - b) // (b + 1)
+    return row
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521, 1000003])
+def test_digit_binomials_equal_comb_mod_p(p):
+    # the factorial table, and past the cap the falling products, give
+    # comb(n, k) % p whatever the digits
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randrange(3 * p)
+        k = rng.choice([rng.randrange(n + 1), min(n, rng.randrange(50)),
+                        max(0, n - rng.randrange(50))])
+        if p > 65536 and min(k, n - k) > 1000:
+            continue  # a falling product that long is refused
+        assert lucas_binomial(n, k, p) == comb(n, k) % p, (n, k)
+
+
+@pytest.mark.parametrize("n, p", [(65520, 65521), (8191 + 300, 8191),
+                                  (200, 7), (1000, 2)])
+def test_binomial_row_census_equals_the_exact_row(n, p):
+    want = Counter(c % p for c in _exact_row(n))
+    want.pop(0, None)
+    assert binomial_row_census(n, p) == (dict(want), sum(want.values()))

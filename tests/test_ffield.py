@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coeffcount import unipoly
+from coeffcount import ffield, unipoly
 from coeffcount.ffield import (
     Field,
     FieldError,
@@ -292,3 +292,32 @@ def test_untabled_extension_field(a, b):
     assert F512.add(a, F512.neg(a)) == 0
     square = F512.pow(F512.add(a, b), 2)
     assert square == F512.add(F512.pow(a, 2), F512.pow(b, 2))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 100_000_000), "field size 2^100000000 exceeds the cap 65536"),
+    ((2, 99_999_999_999), "field size 2^99999999999 exceeds the cap 65536"),
+    ((3, 17), "field size 3^17 exceeds the cap 65536"),
+    ((3, 11), "field size 177147 exceeds the cap 65536"),
+    ((256, 10**9), "256 is not prime"),
+    ((5, 1, (1, 2, 3)), "modulus must be monic of degree 1"),
+    ((5, 1, (3, 2)), "modulus must be monic of degree 1"),
+    ((7, 2, (1, 0, 0, 1)), "modulus must be monic of degree 2"),
+], ids=["2^10^8", "2^huge", "3^17", "3^11", "not-prime-first", "r1-degree-2",
+        "r1-not-monic", "r2-degree-3"])
+def test_field_refuses_its_size_and_modulus_before_it_computes(monkeypatch, args, message):
+    # 2^r past the cap is refused before p^r is formed or printed, and a
+    # modulus given for r = 1 is checked as for r > 1
+    def never(*args):
+        raise AssertionError("find_irreducible ran")
+
+    monkeypatch.setattr(ffield, "find_irreducible", never)
+    with pytest.raises(FieldError) as err:
+        Field(*args)
+    assert str(err.value) == message
+
+
+def test_a_monic_linear_modulus_gives_the_prime_field():
+    # every monic linear polynomial is irreducible; the stored modulus stays x
+    assert Field(5, 1, (3, 1)) == Field(5)
+    assert Field(5, 1, (-2, 6)).modulus == (0, 1)

@@ -64,6 +64,57 @@ def test_parse_errors():
     assert err is not None and err.pos == 4
 
 
+@pytest.mark.parametrize("text, k, ring, message, pos", [
+    ("", 1, ZZ, "empty polynomial", 0),
+    (" \t ", 2, F3, "empty polynomial", 3),
+    ("1 + ", 1, ZZ, "unexpected end of input", 4),
+    ("  -  ", 1, ZZ, "unexpected end of input", 5),
+    ("x1*", 2, F4, "unexpected end of input", 3),
+    ("1 + ?", 1, ZZ, "unexpected character '?'", 4),
+    ("x + y", 1, ZZ, "unexpected character 'y'", 4),
+    ("+-1", 1, ZZ, "unexpected character '-'", 1),
+    ("- -x", 1, F3, "unexpected character '-'", 2),
+    ("*x", 1, ZZ, "unexpected character '*'", 0),
+    ("x**2", 1, ZZ, "unexpected character '*'", 2),
+    ("1 + + x", 1, ZZ, "unexpected character '+'", 4),
+    ("1 23", 1, ZZ, "unexpected character '2'", 2),
+    ("x1x2", 2, ZZ, "unexpected character 'x'", 2),
+    ("x ^2", 1, ZZ, "unexpected character '^'", 2),
+    ("1^2", 1, ZZ, "unexpected character '^'", 1),
+    ("x", 2, ZZ, "bare 'x' is only allowed when k = 1", 0),
+    ("1 + 2*x^2", 0, ZZ, "bare 'x' is only allowed when k = 1", 6),
+    ("x3", 2, ZZ, "variable x3 out of range 1..2", 2),
+    ("x0^", 2, F3, "variable x0 out of range 1..2", 2),
+    ("2*x12^5", 3, ZZ, "variable x12 out of range 1..3", 5),
+    ("x^", 1, ZZ, "expected an integer", 2),
+    ("x^ 2", 1, ZZ, "expected an integer", 2),
+    ("x1^-1", 2, ZZ, "expected an integer", 3),
+    ("1+7*x", 1, F4, "encoding 7 out of range for F_4", 3),
+    ("x + ٣٣ ", 1, F4, "encoding 33 out of range for F_4", 6),
+])
+def test_parse_error_messages_and_positions(text, k, ring, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, k, ring)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+def test_parse_reads_decimal_digits_of_any_script():
+    # Arabic-Indic three: \d and int both read it
+    assert parse_poly("٣*x٢^٣", 2, ZZ).terms == {(0, 3): 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="x0123456789^*+-? \t²٣y", max_size=24),
+       st.integers(0, 3), st.sampled_from([ZZ, F3, F4]))
+@example("x²", 1, ZZ)  # str.isdigit accepts the superscript two, int does not
+@example("2 + 1²", 2, F3)
+def test_parse_poly_parses_or_raises_a_positioned_parse_error(text, k, ring):
+    try:
+        parse_poly(text, k, ring)
+    except ParseError as exc:
+        assert 0 <= exc.pos <= len(text)
+
+
 def test_non_integral_exponent_rejected():
     with pytest.raises(ValueError, match=r"^bad exponent vector \(1\.5,\) for k=1$"):
         MultiPoly(1, ZZ, {(1.5,): 1})
