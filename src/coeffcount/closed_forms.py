@@ -76,22 +76,35 @@ def lucas_binomial(n: int, k: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
+# most steps of the census DP: every digit a's a + 1 binomials, then each
+# digit's classes times its distinct step values.  Over p = 8191, digits
+# 3000, 3000 take 1.9 million steps, 0.5 s in process; over 65521, digits
+# 4000, 4000 take 3.9 million, 0.75 s, and 30000, 30000 ran past 25 s
+# (Python 3.11, shared 2-CPU Xeon)
+MAX_CENSUS_STEPS = 4_000_000
+
+
 def binomial_row_census(n: int, p: int):
     """Census of the nonzero residues in row n of Pascal's triangle mod p.
 
     Digit DP over the base-p digits of n: each digit a contributes a
     factor C(a, b) mod p for b = 0..a, read from one factorial table mod p,
-    and the value classes multiply.
+    and the value classes multiply.  Its steps are checked against
+    MAX_CENSUS_STEPS before each digit's products.
     Returns (census dict, total nonzero count = prod(1 + a_i)).
     """
     _check_prime(p)
     digits = base_digits(n, p) or [0]
+    steps = sum(a + 1 for a in digits)
     fact, inv = _factorials(max(digits), p)
     dist = {1: 1}
     total = 1
     for a in digits:
         total *= 1 + a
         step = Counter(fact[a] * inv[b] * inv[a - b] % p for b in range(a + 1))
+        steps += len(dist) * len(step)
+        if steps > MAX_CENSUS_STEPS:
+            raise ValueError(f"the census DP takes more than {MAX_CENSUS_STEPS} steps")
         new = {}
         for cls, cnt in dist.items():
             for val, mult in step.items():

@@ -4,12 +4,12 @@ For univariate g over F_q with g(0) != 0, the number of coefficients of
 g^(q^m - c) equal to a nonzero alpha has the exact form
 u(m) * q^m + v(m) with u, v periodic of period d, where d is the degree
 of the splitting field of g, valid once m >= ceil(log_q(mu * c)) for mu
-the largest multiplicity of an irreducible factor.  This module measures
-d and mu by factorization machinery, counts the coefficients through the
-digit automaton of g (a product of integer matrices along the base-q
-digits of the exponent, whose columns are made only where the walk
-needs them), and solves for the periodic tables u, v over exact
-rationals.
+the largest multiplicity of an irreducible factor.  This module reads
+d and mu off one distinct-degree split (`unipoly.degree_chains`),
+counts the coefficients through the digit automaton of g (a product of
+integer matrices along the base-q digits of the exponent, whose columns
+are made only where the walk needs them), and solves for the periodic
+tables u, v over exact rationals.
 
 Since q^(m+1) - c = (q^m - c) + (q-1) q^m, the base-q digits of
 q^(m+1) - c are those of q^m - c, zero-padded to m digits, followed by
@@ -38,10 +38,12 @@ from .mpoly import MultiPoly, current_limits, dense_coeffs, from_dense
 from .ratgen import _Record
 
 
-# Measured on a 2-CPU Xeon under Python 3.11, worst of three random g.
-# Factoring g of degree 64 takes at most 0.6 s over every F_q with
-# q <= 256 (0.03 s over F_2); degree 100 takes 1.2-3.2 s over F_31,
-# F_251 and F_256, and degree 128 up to 3.7 s.
+# Measured on a 2-CPU Xeon under Python 3.11, worst of three random g:
+# factoring g of degree 64 takes at most 0.6 s over every F_q with q <= 256
+# (0.05 s over F_2), degree 100 1.6-2.3 s over F_31, F_251 and F_256, and
+# degree 128 up to 3.3 s.  The slowest admitted g, 0.68 s, is an irreducible
+# of degree 64 over F_251; a prime power P^e, whose split runs up to deg P,
+# costs no more (over F_251, P^2 with deg P = 32 takes 0.66 s, P^8 0.21 s).
 MAX_QPOW_DEGREE = 64
 # The fit walks m = 0 .. l + 3d - 1 over digit q - 1.  1000 digits take
 # 0.007 s on a 15-state walk, 0.25 s on a 2040-state one and 2.8 s on a
@@ -72,24 +74,22 @@ def _as_dense(g, field: Field, check: bool = True):
 
 
 def _degree_and_multiplicity(g, field: Field):
-    """(d, mu) of g from one squarefree decomposition; g of degree past
-    MAX_QPOW_DEGREE is refused before it is factored."""
+    """(d, mu) of g from one pass of `unipoly.degree_chains`: d is the lcm
+    of the factor degrees and mu the length of the longest chain; g of
+    degree past MAX_QPOW_DEGREE is refused before it is factored."""
     g = _as_dense(g, field)
     if len(g) - 1 > MAX_QPOW_DEGREE:
         raise QPowError(f"g of degree {len(g) - 1} exceeds the factoring cap "
                         f"of degree {MAX_QPOW_DEGREE}")
-    parts = unipoly.squarefree_decomposition(field, g)
-    # the parts are squarefree and coprime: their factors are the radical's
-    d = math.lcm(*(e for part, _ in parts
-                   for e in unipoly.distinct_degrees(field, part)))
-    return d, max(m for _, m in parts)
+    chains = list(unipoly.degree_chains(field, g))
+    return math.lcm(*(i for i, _ in chains)), max(len(chain) for _, chain in chains)
 
 
 def splitting_degree(g, field: Field) -> int:
     """Degree of the extension of F_q generated by all roots of g.
 
     Computed as the lcm of the degrees of the distinct irreducible
-    factors, via squarefree decomposition plus distinct-degree splitting.
+    factors, read off one distinct-degree split.
     """
     return _degree_and_multiplicity(g, field)[0]
 

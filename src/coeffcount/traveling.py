@@ -97,6 +97,14 @@ def univariate_chain_check(p: int, n_max: int) -> bool:
 # -- traveling products ------------------------------------------------------------
 
 
+# largest k of `traveling_denominator`, checked before its first binomial:
+# at j = 1 its about k / 2 binomials have up to 0.7 k bits each, and
+# `traveling genfun --j 1` took 0.77 s from a cold start at k = 6000
+# (2.7 MB printed), 1.2 s at 7000 and 2.6 s at 10 000 (Python 3.11,
+# shared 2-CPU machine); a larger j makes fewer binomials
+MAX_TRAVELING_K = 6000
+
+
 def traveling_denominator(j: int, k: int):
     """Coefficients of sum_h (-1)^h C(k - j(h-1), h) z^h.
 
@@ -106,6 +114,8 @@ def traveling_denominator(j: int, k: int):
     """
     if j < 1 or k < 1:
         raise TravelingError("need j, k >= 1")
+    if k > MAX_TRAVELING_K:
+        raise TravelingError(f"k = {k} exceeds the cap {MAX_TRAVELING_K}")
     den = []
     h = 0
     while k - j * (h - 1) >= 0:

@@ -5,11 +5,12 @@ no trailing zeros (the zero polynomial is []).  `add`, `sub` and `mul`
 need only the ring's add/neg/mul, so they serve any ring with that
 protocol: the finite fields (elements as integer encodings) and
 `mpoly.ZZ`, whose integer polynomials are the numerators and
-denominators of `ratgen.RationalGF`.  Everything else (division, gcd,
-derivatives, factoring) is for finite fields only and backs modulus
-discovery, primitivity testing, and the squarefree / distinct-degree
-machinery; degrees stay small in all of those uses, so schoolbook
-algorithms are fine.
+denominators of `ratgen.RationalGF`.  Everything else is for finite
+fields only: division, gcd, powmod and one factoring engine,
+`degree_chains`, a distinct-degree split that divides each degree's
+factors out with their multiplicities, read by the distinct degrees, the
+squarefree parts, the radical and the irreducibility test.  Degrees stay
+small (moduli, primitivity, `qpow`'s g), so schoolbook algorithms suffice.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ def trim(a):
 
 def deg(a) -> int:
     return len(a) - 1  # -1 for the zero polynomial
-
-
-def is_zero(a) -> bool:
-    return not a
 
 
 def add(F, a, b):
@@ -95,11 +92,6 @@ def gcd(F, a, b):
     return monic(F, a)
 
 
-def deriv(F, a):
-    # i * c in the field; i reduces modulo the characteristic
-    return trim([F.mul(i % F.p, a[i]) for i in range(1, len(a))])
-
-
 def powmod(F, a, e: int, m):
     """a^e modulo m, by square and multiply."""
     result = [1]
@@ -112,19 +104,70 @@ def powmod(F, a, e: int, m):
     return result
 
 
-def pth_root(F, a):
-    """For a with only p-th power exponents, the polynomial b with b^p = a."""
-    # c^(p^(r-1)) is the p-th root of c in F_{p^r}
-    e = F.p ** (F.r - 1)
-    return trim([F.pow(c, e) for c in a[::F.p]])
+def degree_chains(F, f):
+    """Distinct-degree splitting that strips multiplicities as it goes.
+
+    For each degree i at which f has an irreducible factor, ascending,
+    yields (i, [t_1, t_2, ...]) with t_j the monic product of the degree-i
+    factors of multiplicity at least j.  Once the factors of degree below i
+    are divided out of h (f at the start), t_1 = gcd(x^(q^i) - x, h); h is
+    then divided by gcd(h, t_j) until that gcd is 1.  What is left at
+    2i > deg h has no two factors of degree >= i, so it is irreducible.
+    """
+    h = monic(F, trim(list(f)))
+    w = [0, 1]  # x^(q^i), modulo h as it stood at degree i
+    i = 0
+    while deg(h) > 0:
+        i += 1
+        if 2 * i > deg(h):
+            yield deg(h), [h]
+            return
+        w = powmod(F, w, F.q, h)
+        t = gcd(F, sub(F, w, [0, 1]), h)
+        chain = []
+        while deg(t) > 0:
+            chain.append(t)
+            h = divmod_(F, h, t)[0]
+            t = gcd(F, h, t)
+        if chain:
+            yield i, chain
+
+
+def distinct_degrees(F, f):
+    """Degrees d for which f has an irreducible factor of degree d."""
+    return [i for i, _ in degree_chains(F, f)]
 
 
 def is_irreducible(F, a) -> bool:
-    """True iff a has degree n > 0 and its distinct-degree split is [n]:
-    a reducible polynomial has an irreducible factor of degree <= n/2,
-    which `distinct_degrees` finds before it stops."""
+    """True iff a has degree n > 0 and its first factor degree is n: a
+    reducible polynomial has an irreducible factor of degree <= n/2."""
     a = trim(list(a))
-    return deg(a) > 0 and distinct_degrees(F, a) == [deg(a)]
+    return deg(a) > 0 and next(degree_chains(F, a))[0] == deg(a)
+
+
+def squarefree_decomposition(F, f):
+    """Decompose f as a product of squarefree parts.
+
+    Returns a list of (g, m), ascending in m, with f = prod g^m up to a
+    constant, the g monic, squarefree and pairwise coprime, and
+    multiplicities m >= 1: g is the product of the t_m / t_(m+1) of every
+    chain of `degree_chains`.
+    """
+    parts = {}
+    for _, chain in degree_chains(F, f):
+        for m, t in enumerate(chain, 1):
+            exact = divmod_(F, t, chain[m])[0] if m < len(chain) else t
+            if deg(exact) > 0:
+                parts[m] = mul(F, parts.get(m, [1]), exact)
+    return [(parts[m], m) for m in sorted(parts)]
+
+
+def radical(F, f):
+    """Product of the distinct irreducible factors of f (monic)."""
+    out = [1]
+    for _, chain in degree_chains(F, f):
+        out = mul(F, out, chain[0])
+    return out
 
 
 def prime_factors(n: int):
@@ -140,71 +183,3 @@ def prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
-
-
-def squarefree_decomposition(F, f):
-    """Decompose monic f as a product of squarefree parts.
-
-    Returns a list of (g, m) with f = prod g^m up to a constant, the g
-    monic, squarefree and pairwise coprime, and multiplicities m >= 1.
-    Handles the characteristic-p collapse f' = 0 by extracting p-th roots.
-    """
-    f = monic(F, trim(list(f)))
-    if deg(f) < 1:
-        return []
-    out = []
-
-    def recurse(f, outer):
-        if deg(f) < 1:
-            return
-        fp = deriv(F, f)
-        if is_zero(fp):
-            recurse(pth_root(F, f), outer * F.p)
-            return
-        t = gcd(F, f, fp)
-        w = divmod_(F, f, t)[0]
-        i = 1
-        while deg(w) > 0:
-            y = gcd(F, w, t)
-            z = divmod_(F, w, y)[0]
-            if deg(z) > 0:
-                out.append((z, i * outer))
-            w = y
-            t = divmod_(F, t, y)[0]
-            i += 1
-        if deg(t) > 0:
-            recurse(pth_root(F, t), outer * F.p)
-
-    recurse(f, 1)
-    out.sort(key=lambda gm: (gm[1], gm[0]))
-    return out
-
-
-def radical(F, f):
-    """Product of the distinct irreducible factors of f (monic)."""
-    parts = squarefree_decomposition(F, f)
-    out = [1]
-    for g, _ in parts:
-        out = mul(F, out, g)
-    return out
-
-
-def distinct_degrees(F, f):
-    """Degrees d for which squarefree f has an irreducible factor of degree d."""
-    f = monic(F, trim(list(f)))
-    degrees = []
-    h = f
-    w = mod(F, [0, 1], h)
-    i = 0
-    while deg(h) > 0:
-        i += 1
-        if 2 * i > deg(h):
-            degrees.append(deg(h))
-            break
-        w = powmod(F, w, F.q, h)
-        g = gcd(F, sub(F, w, [0, 1]), h)
-        if deg(g) > 0:
-            degrees.append(i)
-            h = divmod_(F, h, g)[0]
-            w = mod(F, w, h)
-    return degrees

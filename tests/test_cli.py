@@ -377,7 +377,7 @@ def test_qpow_refuses_before_it_factors(capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):
         raise AssertionError("g was factored")
 
-    monkeypatch.setattr(cli.qpow.unipoly, "squarefree_decomposition", never)
+    monkeypatch.setattr(cli.qpow.unipoly, "degree_chains", never)
     assert run_cli(capsys, "qpow", *argv) == (1, "", f"error: {message}\n")
 
 

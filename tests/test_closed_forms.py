@@ -175,6 +175,31 @@ def test_closed_forms_refuse_p_before_any_table(monkeypatch, call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n, p, stepped", [
+    # digits 30000, 30000 ran past 25 s: the second digit's 15001 classes
+    # times 15001 step values are refused before they multiply
+    (30000 + 30000 * 65521, 65521, 2),
+    # 70 digits of 65520 make 70 * 65521 digit binomials, refused at the
+    # first digit, though each digit has only 2 step values
+    (65521**70 - 1, 65521, 1),
+], ids=["classes-times-steps", "binomials"])
+def test_binomial_row_census_refuses_past_the_step_cap(monkeypatch, n, p, stepped):
+    steps = []  # one Counter of step values a digit
+    monkeypatch.setattr(closed_forms, "Counter",
+                        lambda values: steps.append(1) or Counter(values))
+    with pytest.raises(ValueError) as err:
+        binomial_row_census(n, p)
+    assert str(err.value) == \
+        f"the census DP takes more than {closed_forms.MAX_CENSUS_STEPS} steps"
+    assert len(steps) == stepped
+
+
+def test_binomial_row_census_admits_two_digits_over_8191():
+    # digits 3000, 3000 over 8191 take 1.9 million steps, within the cap
+    census, total = binomial_row_census(3000 + 3000 * 8191, 8191)
+    assert sum(census.values()) == total == 3001**2
+
+
 def _exact_row(n):
     """C(n, 0), ..., C(n, n) as exact integers, one step each."""
     row, c = [], 1

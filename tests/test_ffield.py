@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,12 +171,57 @@ def test_squarefree_decomposition(data):
     product = [1]
     for g, m in parts:
         assert m >= 1 and g[-1] == 1
-        dg = unipoly.deriv(field, g)
+        dg = unipoly.trim([field.mul(i % p, g[i]) for i in range(1, len(g))])  # g'
         assert dg and unipoly.deg(unipoly.gcd(field, g, dg)) == 0  # squarefree
         product = unipoly.mul(field, product, _power(field, g, m))
     assert product == unipoly.monic(field, f)
     for (g, _), (h, _) in itertools.combinations(parts, 2):
         assert unipoly.deg(unipoly.gcd(field, g, h)) == 0
+
+
+def _multiplicity(field, f, a):
+    """How many times a divides f exactly."""
+    m = 0
+    while unipoly.deg(f) >= unipoly.deg(a):
+        f, rem = unipoly.divmod_(field, f, a)
+        if rem:
+            break
+        m += 1
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_degree_chains_match_trial_division(data):
+    # multiplicities p and 2p make f' vanish on those factors, so over F_4
+    # and F_9 they are p-th powers in an extension field
+    field = data.draw(st.sampled_from([F2, F3, F4, F9]))
+    p = field.p
+    built = {}
+    f = [data.draw(st.integers(1, field.q - 1))]  # a nonzero scalar
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = data.draw(st.sampled_from(_irreducibles(field, data.draw(st.integers(1, 3)))))
+        m = data.draw(st.sampled_from([1, 2, 3, p, p + 1, 2 * p]))
+        built[tuple(a)] = built.get(tuple(a), 0) + m
+        f = unipoly.mul(field, f, _power(field, a, m))
+    chains = list(unipoly.degree_chains(field, f))
+    # every factor has degree <= 3, so trial division finds them all
+    found = {}
+    for d in range(1, 4):
+        for a in _irreducibles(field, d):
+            m = _multiplicity(field, f, a)
+            if m:
+                found.setdefault(d, []).append((a, m))
+
+    def product(polys):
+        return functools.reduce(lambda acc, a: unipoly.mul(field, acc, a), polys, [1])
+
+    assert chains == [(d, [product(a for a, m in found[d] if m >= j)
+                           for j in range(1, max(m for _, m in found[d]) + 1)])
+                      for d in sorted(found)]
+    assert unipoly.radical(field, f) == product(a for d in found for a, _ in found[d])
+    assert math.lcm(*(d for d, _ in chains)) == math.lcm(*map(unipoly.deg, built))
+    assert max(len(chain) for _, chain in chains) == max(built.values())
 
 
 def test_bad_modulus_rejected():

@@ -73,7 +73,7 @@ def test_degree_past_the_cap_is_refused_before_factoring(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("g was factored")
 
-    monkeypatch.setattr(unipoly, "squarefree_decomposition", never)
+    monkeypatch.setattr(unipoly, "degree_chains", never)
     big = g("1+x+x^" + str(qpow.MAX_QPOW_DEGREE + 1))
     for measure in (splitting_degree, max_multiplicity):
         with pytest.raises(QPowError, match="factoring cap"):

@@ -14,6 +14,7 @@ from coeffcount.mpoly import ZZ, MultiPoly, parse_poly
 from coeffcount.ratgen import RationalGF, genfun_equal_as_series
 from coeffcount.traveling import (
     MAX_SEQ_TERMS,
+    MAX_TRAVELING_K,
     TravelingError,
     charpoly,
     connectivity_matrix,
@@ -82,6 +83,26 @@ def test_traveling_denominator_truncation():
     assert traveling_denominator(1, 1) == [1, -1]
     assert traveling_denominator(2, 3) == [1, -3]
     assert traveling_denominator(3, 2) == [1, -2]
+
+
+def test_traveling_k_refused_before_the_denominator(capsys, monkeypatch):
+    # `traveling genfun --j 1 --k 10000` took 2.6 s and printed 7.5 MB
+    def never(*args):
+        raise AssertionError("a binomial was computed")
+
+    monkeypatch.setattr(traveling, "comb", never)
+    message = f"k = {MAX_TRAVELING_K + 1} exceeds the cap {MAX_TRAVELING_K}"
+    for call in (lambda: traveling_genfun(1, MAX_TRAVELING_K + 1),
+                 lambda: traveling_seq(3, MAX_TRAVELING_K + 1, 5)):
+        with pytest.raises(TravelingError) as err:
+            call()
+        assert str(err.value) == message
+    assert main(["traveling", "genfun", "--j", "1", "--k", "30000"]) == 1
+    assert capsys.readouterr() == ("", "error: k = 30000 exceeds the cap "
+                                       f"{MAX_TRAVELING_K}\n")
+    monkeypatch.undo()
+    # the cap itself is admitted; at j = k the sum stops after h = 1
+    assert traveling_denominator(MAX_TRAVELING_K, MAX_TRAVELING_K) == [1, -MAX_TRAVELING_K]
 
 
 def test_traveling_sequences():
